@@ -33,8 +33,16 @@ lint-baseline:
 test:
 	$(GO) test ./...
 
+# The concurrency suites run again at several GOMAXPROCS values: some
+# interleavings (a reader between two atomic stores of one writer) need
+# real parallelism, and a one-core runner never produces them at -cpu 1.
+# -short skips only core's three single-goroutine O(n^2) stress tests
+# (stress_test.go), which the first line already runs: under -race they
+# take ~3 of the ~3.5 minutes one core run costs on a 2-vCPU machine, and
+# nine runs of them would pass go test's 10-minute timeout.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -short -cpu 1,2,4 -count=3 ./internal/core ./internal/catalog ./internal/server
 
 # Boot tempaggd with its admin surface, run a plain query plus an EXPLAIN
 # ANALYZE, and fail if /metrics, /debug/traces, /debug/queries, or

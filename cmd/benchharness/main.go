@@ -48,7 +48,7 @@ var experiments = []struct {
 	{"ablation-span", "span grouping vs instant grouping (future work §7)", bench.AblationSpan},
 	{"baseline", "hot-path baseline for before/after comparison (see BENCH_PR4.json)", bench.Baseline},
 	{"sweep", "columnar event sweep vs aggregation tree (see BENCH_PR5.json)", bench.SweepFigure},
-	{"sweep-parallel", "parallel chunked sweep + shared multi-query pass (see BENCH_PR7.json)", bench.SweepParallelFigure},
+	{"sweep-parallel", "parallel chunked sweep across worker counts (see BENCH_PR7.json)", bench.SweepParallelFigure},
 	{"live-read", "live snapshot reads during ingestion vs batch re-evaluation (see BENCH_PR9.json)", bench.LiveReadFigure},
 	{"range-query", "range-restricted aggregates: interval index vs full sweep vs result cache (see BENCH_PR10.json)", bench.RangeQueryFigure},
 }

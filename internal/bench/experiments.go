@@ -358,68 +358,17 @@ func SweepFigure(opts Options) (Figure, error) {
 }
 
 // SweepParallelFigure measures the PR 7 tentpole: the chunked parallel scan
-// against the serial sweep on random-order input across worker counts, and
-// the shared multi-query pass (one SweepGroup serving four aggregates)
-// against the same four queries as dedicated sweeps. Worker speedups only
-// materialize with GOMAXPROCS > 1 — the harness's JSON report records
-// gomaxprocs so BENCH_PR7.json is honest about the machine it ran on; the
-// shared-pass gain (one ingest+sort+scan instead of four) shows at any core
-// count.
+// against the serial sweep on random-order input across worker counts.
+// Worker speedups only materialize with GOMAXPROCS > 1 — the harness's
+// JSON report records gomaxprocs so BENCH_PR7.json is honest about the
+// machine it ran on.
 func SweepParallelFigure(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	fig, err := buildFigure("sweep-parallel", "Parallel Sweep Scan and Shared Multi-Query Pass",
+	return buildFigure("sweep-parallel", "Parallel Sweep Scan",
 		"seconds", opts, timeMetric, []seriesSpec{
 			{"sweep parallel=1 random", core.Spec{Algorithm: core.SweepEval, Parallel: 1}, genRandom(0)},
 			{"sweep parallel=2 random", core.Spec{Algorithm: core.SweepEval, Parallel: 2}, genRandom(0)},
 			{"sweep parallel=4 random", core.Spec{Algorithm: core.SweepEval, Parallel: 4}, genRandom(0)},
 		})
-	if err != nil {
-		return Figure{}, err
-	}
-	// Shared-group comparison, serial scans on both sides so the measured
-	// difference is the sharing itself, not chunking.
-	kinds := []aggregate.Kind{aggregate.Count, aggregate.Sum, aggregate.Avg, aggregate.Count}
-	shared := Series{Name: "shared group, 4 queries"}
-	dedicated := Series{Name: "dedicated sweeps, 4 queries"}
-	for _, size := range opts.Sizes {
-		var msh, mde []measurement
-		for _, seed := range opts.Seeds {
-			rel, err := genRandom(0)(size, seed)
-			if err != nil {
-				return Figure{}, err
-			}
-			start := time.Now()
-			g := core.NewSweepGroup(core.SweepOptions{Parallel: 1})
-			for _, k := range kinds {
-				if _, err := g.Register(core.GroupQuery{Func: aggregate.For(k)}); err != nil {
-					return Figure{}, err
-				}
-			}
-			if err := g.AddBatch(rel.Tuples); err != nil {
-				return Figure{}, err
-			}
-			if _, err := g.Finish(); err != nil {
-				return Figure{}, err
-			}
-			msh = append(msh, measurement{seconds: time.Since(start).Seconds()})
-
-			start = time.Now()
-			for _, k := range kinds {
-				ev := core.NewSweepOptions(aggregate.For(k), core.SweepOptions{Parallel: 1})
-				if err := ev.AddBatch(rel.Tuples); err != nil {
-					return Figure{}, err
-				}
-				if _, err := ev.Finish(); err != nil {
-					return Figure{}, err
-				}
-			}
-			mde = append(mde, measurement{seconds: time.Since(start).Seconds()})
-		}
-		shared.Points = append(shared.Points, Point{Size: size, Value: timeMetric(median(msh))})
-		dedicated.Points = append(dedicated.Points, Point{Size: size, Value: timeMetric(median(mde))})
-	}
-	fig.Series = append(fig.Series, shared, dedicated)
-	return fig, nil
 }
 
 // LiveReadFigure measures the PR 9 tentpole: snapshot reads against a live

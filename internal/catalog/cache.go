@@ -4,10 +4,11 @@
 // cache keeps one materialized core.IntervalIndex per relation file, keyed
 // by the file's fingerprint (size + mtime): any rewrite of the file makes
 // the cached index unreachable and the next eligible query rebuilds it.
-// The result cache keeps finished range-query answers in an LRU keyed by
-// (relation, version, aggregate kind, window), where version is the file
-// fingerprint for batch relations and the live epoch seqno for live ones —
-// ingestion advances the seqno, so staleness is structural, never timed.
+// The result cache keeps finished range-query answers over relation files
+// in an LRU keyed by (relation, version, aggregate kind, window), where
+// version is the file fingerprint — rewriting the file moves it, so
+// staleness is structural, never timed. LIVE reads bypass the cache (see
+// executeLive).
 package catalog
 
 import (
@@ -85,7 +86,7 @@ func (c *Catalog) indexFor(name, path, version string) (*core.IntervalIndex, err
 	if e, ok := c.indexes[name]; ok && e.version == version {
 		return e.idx, nil
 	}
-	rel, err := loadRelation(path, name, relation.ScanOptions{})
+	rel, err := relation.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +121,7 @@ func cacheWindow(q *query.Query) interval.Interval {
 // cacheable reports whether a query's answer can be keyed by (relation,
 // version, kind, window) alone: the same shape the interval index serves —
 // any predicate or grouping beyond the window would need to be part of the
-// key. Live queries use the same shape check against their epoch version.
+// key.
 func cacheable(q *query.Query) bool {
 	if len(q.Where) > 0 || q.GroupAttr != nil || q.Temporal == query.BySpan {
 		return false

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"tempagg/internal/obs"
 	"tempagg/internal/relation"
 	"tempagg/internal/workload"
 )
@@ -126,6 +127,37 @@ func TestRangeIndexPlanMatchesSweep(t *testing.T) {
 	}
 	if pred.Plan.UseIndex {
 		t.Fatalf("WHERE query planned through the index: %+v", pred.Plan)
+	}
+}
+
+// TestIndexQueryTraceLabel: a query served from the resident index is
+// labelled index-lookup on its trace and in the per-algorithm query
+// metrics — the label /debug/queries and /metrics group by — not by the
+// zero-valued evaluator spec the index plan carries.
+func TestIndexQueryTraceLabel(t *testing.T) {
+	c, err := Open(newCatalogDir(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableRangeIndex()
+	o := obs.NewObserver(8, nil)
+	qr, err := c.QueryObserved(cacheTestQuery, relation.ScanOptions{}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !qr.Plan.UseIndex {
+		t.Fatalf("query did not take the resident index: %+v", qr.Plan)
+	}
+	traces := o.TraceBuffer().Snapshot()
+	if len(traces) != 1 || traces[0].Algorithm != "index-lookup" {
+		t.Fatalf("trace algorithm = %q, want index-lookup", traces[0].Algorithm)
+	}
+	var b strings.Builder
+	if err := o.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := obs.MetricQueries + `{algorithm="index-lookup",status="ok"} 1`; !strings.Contains(b.String(), want) {
+		t.Errorf("exposition missing %q", want)
 	}
 }
 

@@ -220,82 +220,6 @@ func (c *Catalog) QueryObserved(sql string, sopts relation.ScanOptions, o *obs.O
 	return qr, err
 }
 
-// QueryBatch parses and executes several queries in one call. Queries over
-// the same relation that the shared sweep can serve (decomposable
-// aggregates, no snapshot/span/attribute grouping or DISTINCT) are
-// evaluated together by query.ExecuteBatch — each relation file is read
-// once per batch and one core.SweepGroup pass covers every admitted
-// query's select list; the rest execute individually. Results align with
-// sqls by index.
-func (c *Catalog) QueryBatch(sqls []string, sopts relation.ScanOptions) ([]*query.QueryResult, error) {
-	parsed := make([]*query.Query, len(sqls))
-	for i, sql := range sqls {
-		q, err := query.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		parsed[i] = q
-	}
-	// Group by relation, preserving first-appearance order so error
-	// messages and file reads are deterministic.
-	byRel := map[string][]int{}
-	var order []string
-	for i, q := range parsed {
-		if _, ok := byRel[q.Relation]; !ok {
-			order = append(order, q.Relation)
-		}
-		byRel[q.Relation] = append(byRel[q.Relation], i)
-	}
-	results := make([]*query.QueryResult, len(sqls))
-	for _, name := range order {
-		idxs := byRel[name]
-		info, err := c.Info(name)
-		if err != nil {
-			return nil, err
-		}
-		path, err := c.Path(name)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := loadRelation(path, name, sopts)
-		if err != nil {
-			return nil, err
-		}
-		qs := make([]*query.Query, len(idxs))
-		for k, i := range idxs {
-			qs[k] = parsed[i]
-		}
-		sub, err := query.ExecuteBatch(qs, rel, &info)
-		if err != nil {
-			return nil, err
-		}
-		for k, i := range idxs {
-			results[i] = sub[k]
-		}
-	}
-	return results, nil
-}
-
-// loadRelation materializes a relation file for batch evaluation.
-func loadRelation(path, name string, sopts relation.ScanOptions) (*relation.Relation, error) {
-	sc, err := relation.Open(path, sopts)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
-	rel := relation.New(name)
-	for {
-		t, ok, err := sc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rel, nil
-		}
-		rel.Append(t)
-	}
-}
-
 // queryTraced resolves and executes one query, recording stages on tr.
 func (c *Catalog) queryTraced(sql string, sopts relation.ScanOptions, tr *obs.QueryTrace) (*query.QueryResult, error) {
 	parseSpan := tr.StartSpan("parse")

@@ -3,7 +3,6 @@ package catalog
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -203,70 +202,5 @@ func TestConcurrentDeclareAndRead(t *testing.T) {
 	}
 	if e.File != "Synth.rel" {
 		t.Fatalf("Declare must preserve the file binding, got %q", e.File)
-	}
-}
-
-// TestQueryBatchMatchesIndividual: a batch mixing relations and shapes must
-// return, per query, exactly what Query returns for it alone, with the
-// sweep-eligible queries annotated as served by a shared pass.
-func TestQueryBatchMatchesIndividual(t *testing.T) {
-	dir := t.TempDir()
-	if err := relation.WriteFile(filepath.Join(dir, "Employed.rel"), relation.Employed()); err != nil {
-		t.Fatal(err)
-	}
-	synth, err := workload.Generate(workload.Config{Tuples: 400, LongLivedPct: 25, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := relation.WriteFile(filepath.Join(dir, "Synth.rel"), synth); err != nil {
-		t.Fatal(err)
-	}
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sqls := []string{
-		"SELECT COUNT(Name) FROM Synth",
-		"SELECT SUM(Salary) FROM Synth WHERE Salary > 40000",
-		"SELECT COUNT(Name) FROM Employed",
-		"SELECT MIN(Salary) FROM Synth", // not decomposable: individual execution
-		"SELECT COUNT(Name), AVG(Salary) FROM Synth",
-	}
-	results, err := c.QueryBatch(sqls, relation.ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(sqls) {
-		t.Fatalf("%d results for %d queries", len(results), len(sqls))
-	}
-	for i, sql := range sqls {
-		want, err := c.Query(sql, relation.ScanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := results[i]
-		if len(got.Groups) != len(want.Groups) {
-			t.Fatalf("%q: %d groups, want %d", sql, len(got.Groups), len(want.Groups))
-		}
-		for gi := range got.Groups {
-			for ai, res := range got.Groups[gi].Results {
-				if !res.Equal(want.Groups[gi].Results[ai]) {
-					t.Errorf("%q group %d aggregate %d: batch result differs from Query", sql, gi, ai)
-				}
-			}
-		}
-	}
-	if !strings.Contains(results[0].Plan.Reason, "shared pass") {
-		t.Errorf("eligible query not served by the shared pass: %q", results[0].Plan.Reason)
-	}
-}
-
-func TestQueryBatchUnknownRelation(t *testing.T) {
-	c, err := Open(newCatalogDir(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.QueryBatch([]string{"SELECT COUNT(Name) FROM Nope"}, relation.ScanOptions{}); err == nil {
-		t.Fatal("a batch naming a missing relation must fail")
 	}
 }

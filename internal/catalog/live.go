@@ -186,27 +186,14 @@ func (c *Catalog) DropLive(name string) error {
 }
 
 // executeLive serves a SELECT ... LIVE query: acquire an epoch, evaluate
-// every aggregate of the select list against it, release the lease.
+// every aggregate of the select list against it, release the lease. LIVE
+// reads are not cached: every ingest advances the epoch, so under
+// concurrent ingest a cached answer would never be read again.
 func (c *Catalog) executeLive(q *query.Query, tr *obs.QueryTrace) (*query.QueryResult, error) {
 	snap, release, err := c.AcquireLiveSnapshot(q.Relation)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	// The epoch seqno is the live relation's version: ingestion advances
-	// it, so cached answers from older epochs are structurally unreachable
-	// and age out of the LRU (cache.go).
-	rc := c.results.Load()
-	if rc == nil || !cacheable(q) {
-		return query.ExecuteLive(q, snap, tr)
-	}
-	version := fmt.Sprintf("epoch:%d", snap.Seq())
-	if qr, ok := c.serveCached(rc, q, version, tr); ok {
-		return qr, nil
-	}
-	qr, err := query.ExecuteLive(q, snap, tr)
-	if err == nil {
-		c.storeResults(rc, q, version, qr)
-	}
-	return qr, err
+	return query.ExecuteLive(q, snap, tr)
 }

@@ -142,11 +142,12 @@ func TestLiveRaceIngestQueryScrape(t *testing.T) {
 
 // TestLiveRangeCacheRaceIngestQueryScrape is the S37 companion to the
 // ingest/read stress above: readers issue range-restricted LIVE queries —
-// the index-live-tail path over sealed-segment indexes plus the epoch-keyed
-// result cache — while writers ingest and scrapers hit the admin surface.
-// Each reader checks two monotonicity invariants: the window count never
-// goes backwards (a cache hit must never resurrect an older epoch's
-// answer), and snapshot seqnos acquired between queries never decrease.
+// the index-live-tail path over sealed-segment indexes, on a catalog with
+// the result cache enabled — while writers ingest and scrapers hit the
+// admin surface. Each reader checks two monotonicity invariants: the
+// window count never goes backwards (no read may resurrect an older
+// epoch's answer), and snapshot seqnos acquired between queries never
+// decrease. LIVE reads bypass the result cache, so it must see no traffic.
 func TestLiveRangeCacheRaceIngestQueryScrape(t *testing.T) {
 	const (
 		writers         = 3
@@ -247,8 +248,8 @@ func TestLiveRangeCacheRaceIngestQueryScrape(t *testing.T) {
 	writersDone.Store(true)
 	rest.Wait()
 
-	// Quiesced: the final epoch holds every tuple, a repeated range query is
-	// a guaranteed cache hit at that epoch, and the cache saw real traffic.
+	// Quiesced: the final epoch holds every tuple, and no LIVE read went
+	// through the result cache.
 	if n, err := cat.LiveReaders("hot"); err != nil || n != 0 {
 		t.Fatalf("outstanding snapshot leases after quiesce: %d (%v)", n, err)
 	}
@@ -261,13 +262,9 @@ func TestLiveRangeCacheRaceIngestQueryScrape(t *testing.T) {
 		if !ok || v.Int != int64(writers*tuplesPerWriter) {
 			t.Fatalf("final window count %d (ok=%v), want %d", v.Int, ok, writers*tuplesPerWriter)
 		}
-		if i == 1 && !qr.Plan.Cached {
-			t.Fatalf("repeat of %q at a quiet epoch missed the cache: %+v", queries[0], qr.Plan)
-		}
 	}
-	stats := cat.ResultCacheStats()
-	if stats.Misses == 0 || stats.Hits == 0 {
-		t.Fatalf("result cache saw no traffic under load: %+v", stats)
+	if stats := cat.ResultCacheStats(); stats.Hits+stats.Misses != 0 || stats.Entries != 0 {
+		t.Fatalf("LIVE reads went through the result cache: %+v", stats)
 	}
 }
 

@@ -80,42 +80,6 @@ func diffStrategies(boundaries []interval.Time) []diffStrategy {
 		{"sweep-parallel=1", runSpec(Spec{Algorithm: SweepEval, Parallel: 1})},
 		{"sweep-parallel=2", runSpec(Spec{Algorithm: SweepEval, Parallel: 2})},
 		{"sweep-parallel=8", runSpec(Spec{Algorithm: SweepEval, Parallel: 8})},
-		// The shared multi-query pass: the aggregate under test rides in one
-		// SweepGroup next to sidecar queries (one unfiltered, one filtered) so
-		// masked events and foreign row boundaries are in play. MIN/MAX are
-		// not registrable and fall back to a dedicated sweep, as the query
-		// layer does.
-		{"sweep-group-shared", func(_ *testing.T, f aggregate.Func, ts []tuple.Tuple, _ int) (*Result, error) {
-			if !f.Kind().Decomposable() {
-				res, _, err := Run(Spec{Algorithm: SweepEval}, f, ts)
-				return res, err
-			}
-			g := NewSweepGroup(SweepOptions{Parallel: 2})
-			idx, err := g.Register(GroupQuery{Func: f})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := g.Register(GroupQuery{Func: aggregate.For(aggregate.Count)}); err != nil {
-				return nil, err
-			}
-			if _, err := g.Register(GroupQuery{
-				Func:   aggregate.For(aggregate.Sum),
-				Filter: func(tu tuple.Tuple) bool { return tu.Value%2 == 0 },
-			}); err != nil {
-				return nil, err
-			}
-			for lo := 0; lo < len(ts); lo += BatchPage {
-				hi := min(lo+BatchPage, len(ts))
-				if err := g.AddBatch(ts[lo:hi]); err != nil {
-					return nil, err
-				}
-			}
-			results, err := g.Finish()
-			if err != nil {
-				return nil, err
-			}
-			return results[idx], nil
-		}},
 		// The live evaluator read at its final epoch. SegmentSize 32 forces
 		// several seal boundaries and a partial tail at the oracle's sizes,
 		// so the segment-merge path and the tail sweep are both in play.

@@ -63,9 +63,9 @@ type Evaluator interface {
 	// in time order. The evaluator must not be reused afterwards.
 	Finish() (*Result, error)
 	// Stats reports work and space counters; valid at any point, and safe
-	// to call from another goroutine while Add or Finish is in flight (the
-	// counters are atomics — a concurrent /metrics scrape never observes a
-	// torn value).
+	// to call from another goroutine while Add or Finish is in flight:
+	// every counter is read atomically and PeakNodes ≥ LiveNodes always
+	// holds, though an in-flight Add may be only partly counted.
 	Stats() Stats
 }
 

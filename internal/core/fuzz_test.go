@@ -199,13 +199,11 @@ func FuzzArenaReuse(f *testing.F) {
 }
 
 // FuzzParallelSweepVsSerial is the differential fuzz target for the chunked
-// scan and the shared multi-query pass: whatever the input shape, order, or
-// worker count, the parallel sweep must emit the serial sweep's rows
-// bit-for-bit for decomposable aggregates (value-equivalence against the
-// oracle for MIN/MAX, whose span partitioning may split rows), and a
-// SweepGroup must hand every registered query the rows of a dedicated serial
-// sweep. Explicit Parallel > 1 bypasses the size cutoff, so tiny fuzz inputs
-// still exercise the chunk machinery.
+// scan: whatever the input shape, order, or worker count, the parallel sweep
+// must emit the serial sweep's rows bit-for-bit for decomposable aggregates
+// (value-equivalence against the oracle for MIN/MAX, whose span
+// partitioning may split rows). Explicit Parallel > 1 bypasses the size
+// cutoff, so tiny fuzz inputs still exercise the chunk machinery.
 func FuzzParallelSweepVsSerial(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(40), uint8(0), uint8(2))
 	f.Add(int64(2), uint8(3), uint8(120), uint8(1), uint8(5))
@@ -252,50 +250,6 @@ func FuzzParallelSweepVsSerial(f *testing.F) {
 			t.Fatalf("workers=%d n=%d %v: parallel sweep differs from oracle", workers, n, fn.Kind())
 		}
 
-		// Shared pass: the same tuples through one group, one filtered and
-		// one unfiltered query, each diffed against its dedicated serial
-		// sweep.
-		g := NewSweepGroup(SweepOptions{Parallel: workers})
-		queries := []GroupQuery{
-			{Func: aggregate.For(aggregate.Count)},
-			{Func: aggregate.For(aggregate.Sum),
-				Filter: func(tu tuple.Tuple) bool { return tu.Value%2 == 0 }},
-		}
-		for _, q := range queries {
-			if _, err := g.Register(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, tu := range ts {
-			if err := g.Add(tu); err != nil {
-				t.Fatal(err)
-			}
-		}
-		results, err := g.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range queries {
-			var filtered []tuple.Tuple
-			for _, tu := range ts {
-				if q.Filter == nil || q.Filter(tu) {
-					filtered = append(filtered, tu)
-				}
-			}
-			ev := NewSweepOptions(q.Func, SweepOptions{Parallel: 1})
-			for _, tu := range filtered {
-				if err := ev.Add(tu); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := ev.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(results[qi].Rows, want.Rows) {
-				t.Fatalf("workers=%d n=%d query %d: shared-pass rows differ from dedicated sweep", workers, n, qi)
-			}
-		}
 	})
 }
 

@@ -146,8 +146,8 @@ func (g *liveSegment) result(f aggregate.Func) (*Result, error) {
 // tail's columns below its published watermark successor. A reader that
 // loads the state pointer and then the tail watermark always observes a
 // consistent prefix of the ingestion order — a sealed tail's watermark is
-// frozen at capacity, so a stale state still denotes exactly the tuples
-// admitted at that epoch.
+// frozen one short of capacity (its last admit is published by the seal),
+// so a stale state still denotes exactly the tuples admitted at that epoch.
 type liveState struct {
 	segs []*liveSegment
 	tail *liveTail
@@ -251,13 +251,16 @@ func (e *LiveEvaluator) AddBatch(ts []tuple.Tuple) error {
 		st.tail.vals[w] = t.Value
 		st.tail.starts[w] = t.Valid.Start
 		st.tail.ends[w] = t.Valid.End
-		st.tail.n.Store(w + 1)
 		e.stats.addTuple()
 		// Cost model: one arrival and one departure event per resident
 		// tuple, 16 bytes each — the sweep's columnar accounting.
 		e.stats.grow(2)
 		if int(w+1) == e.segSize {
-			e.sealLocked(st)
+			// The filling admit is published by the seal, not by the
+			// watermark, so no epoch ever shows a full tail.
+			e.sealLocked(st, int(w+1))
+		} else {
+			st.tail.n.Store(w + 1)
 		}
 	}
 	if e.sink != nil {
@@ -267,10 +270,10 @@ func (e *LiveEvaluator) AddBatch(ts []tuple.Tuple) error {
 	return nil
 }
 
-// sealLocked freezes the full tail into an immutable segment and installs
-// a fresh generation with an empty tail. Caller holds e.mu.
-func (e *LiveEvaluator) sealLocked(st *liveState) {
-	n := int(st.tail.n.Load())
+// sealLocked freezes the first n tail entries — the full tail, its last
+// admit not yet published — into an immutable segment and installs a fresh
+// generation with an empty tail. Caller holds e.mu.
+func (e *LiveEvaluator) sealLocked(st *liveState, n int) {
 	seg := &liveSegment{
 		names:  st.tail.names[:n:n],
 		vals:   st.tail.vals[:n:n],

@@ -2,12 +2,9 @@
 // results (DESIGN.md S37).
 //
 // Staleness is structural, not timed: the cache key carries the relation's
-// version — a file fingerprint for batch relations, the live epoch seqno
-// for live ones — so ingestion can never cause a stale entry to be served.
-// A new epoch simply keys new entries; superseded epochs age out through
-// the LRU. This is the invalidation clock Colley's delta-summation work
-// gets from maintaining summaries under appends, obtained here for free
-// from the live protocol's published seqno (S36).
+// version (the catalog uses the relation file's fingerprint), so a
+// rewritten relation can never have a stale entry served. Superseded
+// versions age out through the LRU.
 package core
 
 import (
@@ -20,17 +17,16 @@ import (
 
 // DefaultResultCacheCapacity is the entry bound a zero capacity resolves
 // to: enough for a dashboard's worth of distinct (window, aggregate)
-// panels across a handful of epochs.
+// panels across a handful of relation versions.
 const DefaultResultCacheCapacity = 256
 
 // CacheKey identifies one cached range-query answer.
 type CacheKey struct {
 	// Relation is the relation name.
 	Relation string
-	// Version pins the relation contents the entry was computed over: a
-	// file fingerprint for batch relations, "epoch:<seq>" for live ones.
-	// Any change of contents changes the version, so stale entries are
-	// unreachable rather than merely expired.
+	// Version pins the relation contents the entry was computed over (a
+	// file fingerprint in the catalog). Any change of contents changes the
+	// version, so stale entries are unreachable rather than merely expired.
 	Version string
 	// Kind is the aggregate computed.
 	Kind aggregate.Kind

@@ -24,7 +24,9 @@ func raceTuples(n int) []tuple.Tuple {
 // TestStatsConcurrentSnapshot is the -race regression for the Stats
 // contract: a scrape goroutine snapshots counters continuously while the
 // evaluation runs. Before statsCell the counters were plain ints and this
-// test fails under -race with a read/write conflict.
+// test fails under -race with a read/write conflict; every snapshot must
+// also keep PeakNodes ≥ LiveNodes, which needs real parallelism (-cpu 2 or
+// more) to catch a reader between grow's live increment and its peak CAS.
 func TestStatsConcurrentSnapshot(t *testing.T) {
 	specs := []Spec{
 		{Algorithm: LinkedList},

@@ -49,15 +49,17 @@ func (c *statsCell) reclaim(n int) {
 	c.collected.Add(int64(n))
 }
 
-// snapshot assembles a Stats value from atomic loads. Counters are loaded
-// individually, so a snapshot taken mid-Add may mix a just-incremented
-// tuple count with a not-yet-raised peak; each individual counter is
-// consistent, which is what the scrape path needs.
+// snapshot assembles a Stats value from atomic loads. The counters are not
+// read as one group, so a snapshot taken mid-Add may mix values from either
+// side of it; grow raises live before its peak CAS, so the peak is clamped
+// to the live count read here — a value the evaluation did reach.
 func (c *statsCell) snapshot() Stats {
+	live := c.liveNodes.Load()
+	peak := max(c.peakNodes.Load(), live)
 	return Stats{
 		Tuples:    int(c.tuples.Load()),
-		LiveNodes: int(c.liveNodes.Load()),
-		PeakNodes: int(c.peakNodes.Load()),
+		LiveNodes: int(live),
+		PeakNodes: int(peak),
 		Collected: int(c.collected.Load()),
 	}
 }

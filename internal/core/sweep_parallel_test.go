@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"tempagg/internal/aggregate"
-	"tempagg/internal/interval"
 	"tempagg/internal/obs"
 	"tempagg/internal/tuple"
 )
@@ -153,105 +152,8 @@ func TestParallelWedgeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepGroupMatchesDedicatedSweeps: every query registered on a group
-// must get exactly the rows a dedicated serial sweep over its filtered
-// tuples would produce — row-identical, so shared evaluation is invisible
-// to consumers.
-func TestSweepGroupMatchesDedicatedSweeps(t *testing.T) {
-	r := rand.New(rand.NewSource(45))
-	queries := []GroupQuery{
-		{Func: aggregate.For(aggregate.Count)},
-		{Func: aggregate.For(aggregate.Sum)},
-		{Func: aggregate.For(aggregate.Avg),
-			Filter: func(tu tuple.Tuple) bool { return tu.Value%2 == 0 }},
-		{Func: aggregate.For(aggregate.Sum),
-			Filter: func(tu tuple.Tuple) bool { return tu.Value%3 == 0 }},
-		{Func: aggregate.For(aggregate.Count),
-			Filter: func(tu tuple.Tuple) bool { return false }}, // matches nothing
-	}
-	for _, n := range []int{0, 1, 40, 1200} {
-		ts := randomTuples(r, n, 4000)
-		for _, workers := range []int{1, 2, 8} {
-			g := NewSweepGroup(SweepOptions{Parallel: workers})
-			for _, q := range queries {
-				if _, err := g.Register(q); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for lo := 0; lo < len(ts); lo += BatchPage {
-				hi := min(lo+BatchPage, len(ts))
-				if err := g.AddBatch(ts[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			results, err := g.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(results) != len(queries) {
-				t.Fatalf("n=%d workers=%d: %d results for %d queries", n, workers, len(results), len(queries))
-			}
-			for qi, q := range queries {
-				var filtered []tuple.Tuple
-				for _, tu := range ts {
-					if q.Filter == nil || q.Filter(tu) {
-						filtered = append(filtered, tu)
-					}
-				}
-				want := runSweepParallel(t, q.Func, filtered, 1)
-				if err := results[qi].Validate(); err != nil {
-					t.Fatalf("n=%d workers=%d query %d: %v", n, workers, qi, err)
-				}
-				if !reflect.DeepEqual(results[qi].Rows, want.Rows) {
-					t.Fatalf("n=%d workers=%d query %d: shared-pass rows differ from dedicated sweep", n, workers, qi)
-				}
-				if !results[qi].Equal(Reference(q.Func, filtered)) {
-					t.Fatalf("n=%d workers=%d query %d: shared-pass result differs from oracle", n, workers, qi)
-				}
-			}
-			if stats := g.Stats(); stats.Tuples != n {
-				t.Fatalf("n=%d workers=%d: stats.Tuples = %d", n, workers, stats.Tuples)
-			}
-		}
-	}
-}
-
-// TestSweepGroupContract pins the registration rules: decomposable only,
-// capacity MaxGroupQueries, no registration after ingestion, and Finish
-// without queries is an error.
-func TestSweepGroupContract(t *testing.T) {
-	g := NewSweepGroup(SweepOptions{})
-	if _, err := g.Register(GroupQuery{Func: aggregate.For(aggregate.Min)}); err == nil {
-		t.Fatal("MIN registration must be rejected")
-	}
-	if _, err := g.Finish(); err == nil {
-		t.Fatal("Finish with no queries must be an error")
-	}
-
-	g = NewSweepGroup(SweepOptions{})
-	for i := 0; i < MaxGroupQueries; i++ {
-		if _, err := g.Register(GroupQuery{Func: aggregate.For(aggregate.Count)}); err != nil {
-			t.Fatalf("registration %d: %v", i, err)
-		}
-	}
-	if _, err := g.Register(GroupQuery{Func: aggregate.For(aggregate.Count)}); err == nil {
-		t.Fatalf("registration past %d must be rejected", MaxGroupQueries)
-	}
-
-	g = NewSweepGroup(SweepOptions{})
-	if _, err := g.Register(GroupQuery{Func: aggregate.For(aggregate.Count)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Add(tuple.MustNew("a", 1, 0, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Register(GroupQuery{Func: aggregate.For(aggregate.Sum)}); err == nil {
-		t.Fatal("Register after Add must be rejected")
-	}
-}
-
 // TestParallelSweepConcurrentScrape is the -race regression for the chunked
-// scan: sweep and group workers fold chunks concurrently while a scrape
+// scan: sweep workers fold chunks concurrently while a scrape
 // goroutine renders the registry, mirroring TestStreamingMergeConcurrentScrape
 // for the parallel sweep surfaces.
 func TestParallelSweepConcurrentScrape(t *testing.T) {
@@ -277,44 +179,25 @@ func TestParallelSweepConcurrentScrape(t *testing.T) {
 	}()
 
 	for round := 0; round < 3; round++ {
-		ev, err := NewObserved(Spec{Algorithm: SweepEval, Parallel: 4}, aggregate.For(aggregate.Sum), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < len(ts); lo += BatchPage {
-			hi := min(lo+BatchPage, len(ts))
-			if err := ev.AddBatch(ts[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := ev.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Validate(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-
-		g := NewSweepGroupRange(interval.Universe(), SweepOptions{Parallel: 4})
-		g.SetSink(m)
+		// One parallel sweep per aggregate of a COUNT+SUM+AVG select list,
+		// the way the query layer evaluates it.
 		for _, kind := range []aggregate.Kind{aggregate.Count, aggregate.Sum, aggregate.Avg} {
-			if _, err := g.Register(GroupQuery{Func: aggregate.For(kind)}); err != nil {
+			ev, err := NewObserved(Spec{Algorithm: SweepEval, Parallel: 4}, aggregate.For(kind), m)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for lo := 0; lo < len(ts); lo += BatchPage {
-			hi := min(lo+BatchPage, len(ts))
-			if err := g.AddBatch(ts[lo:hi]); err != nil {
+			for lo := 0; lo < len(ts); lo += BatchPage {
+				hi := min(lo+BatchPage, len(ts))
+				if err := ev.AddBatch(ts[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := ev.Finish()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		results, err := g.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range results {
-			if err := r.Validate(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
+			if err := res.Validate(); err != nil {
+				t.Fatalf("round %d %v: %v", round, kind, err)
 			}
 		}
 	}
@@ -326,7 +209,7 @@ func TestParallelSweepConcurrentScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, metric := range []string{obs.MetricSweepWorkers, obs.MetricSweepChunks, obs.MetricSweepShared} {
+	for _, metric := range []string{obs.MetricSweepWorkers, obs.MetricSweepChunks} {
 		if !strings.Contains(out, metric) {
 			t.Errorf("exposition missing %s after parallel runs", metric)
 		}
@@ -335,9 +218,9 @@ func TestParallelSweepConcurrentScrape(t *testing.T) {
 
 // TestParallelSweepMetricsExact pins the new counters' exact values on a
 // deterministic input: distinct arrival timestamps make every quantile cut
-// unique, so Parallel=2 yields exactly 2 chunks, and a 3-query group adds 3
-// to the shared-queries counter. The nil-Sink path (no sink attached) must
-// stay silent, preserving the disabled-instrumentation contract.
+// unique, so Parallel=2 yields exactly 2 chunks. The nil-Sink path (no sink
+// attached) must stay silent, preserving the disabled-instrumentation
+// contract.
 func TestParallelSweepMetricsExact(t *testing.T) {
 	ts := raceTuples(4200) // distinct starts 0..4199
 	m := obs.NewMetrics(obs.NewRegistry())
@@ -353,20 +236,6 @@ func TestParallelSweepMetricsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g := NewSweepGroup(SweepOptions{Parallel: 2})
-	g.SetSink(m)
-	for _, kind := range []aggregate.Kind{aggregate.Count, aggregate.Sum, aggregate.Avg} {
-		if _, err := g.Register(GroupQuery{Func: aggregate.For(kind)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AddBatch(ts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
 	var b strings.Builder
 	if err := m.Registry().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -375,18 +244,13 @@ func TestParallelSweepMetricsExact(t *testing.T) {
 	for series, want := range map[string]string{
 		// Worker counts are a histogram (a gauge would be last-write-wins
 		// across concurrent queries): one 2-worker observation per run.
-		obs.MetricSweepWorkers + `_bucket{algorithm="sweep",le="2"}`:       "1",
-		obs.MetricSweepWorkers + `_sum{algorithm="sweep"}`:                 "2",
-		obs.MetricSweepWorkers + `_count{algorithm="sweep"}`:               "1",
-		obs.MetricSweepWorkers + `_bucket{algorithm="sweep-group",le="2"}`: "1",
-		obs.MetricSweepWorkers + `_sum{algorithm="sweep-group"}`:           "2",
-		obs.MetricSweepWorkers + `_count{algorithm="sweep-group"}`:         "1",
-		obs.MetricSweepChunks + `{algorithm="sweep"}`:                      "2",
-		obs.MetricSweepChunks + `{algorithm="sweep-group"}`:                "2",
-		obs.MetricSweepShared + `{algorithm="sweep-group"}`:                "3",
-		obs.MetricSweepEvents + `{algorithm="sweep-group"}`:                "8400",
-		obs.MetricTuplesProcessed + `{algorithm="sweep-group"}`:            "4200",
-		obs.MetricSweepFallbacks + `{algorithm="sweep"}`:                   "0",
+		obs.MetricSweepWorkers + `_bucket{algorithm="sweep",le="2"}`: "1",
+		obs.MetricSweepWorkers + `_sum{algorithm="sweep"}`:           "2",
+		obs.MetricSweepWorkers + `_count{algorithm="sweep"}`:         "1",
+		obs.MetricSweepChunks + `{algorithm="sweep"}`:                "2",
+		obs.MetricSweepEvents + `{algorithm="sweep"}`:                "8400",
+		obs.MetricTuplesProcessed + `{algorithm="sweep"}`:            "4200",
+		obs.MetricSweepFallbacks + `{algorithm="sweep"}`:             "0",
 	} {
 		line := series + " " + want
 		if !strings.Contains(out, line) {

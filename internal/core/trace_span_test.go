@@ -84,63 +84,6 @@ func TestTracedParallelSweepSpanTree(t *testing.T) {
 	}
 }
 
-// TestTracedSweepGroupSpanTree: a traced shared SweepGroup records one
-// scan span in mode=shared whose children include the per-worker scans and
-// one group-query span per registered query, each stamped with its row
-// count.
-func TestTracedSweepGroupSpanTree(t *testing.T) {
-	ts := raceTuples(4200)
-	tr := obs.NewQueryTrace("traced sweep group")
-
-	g := NewSweepGroup(SweepOptions{Parallel: 2})
-	g.SetTrace(tr.Context())
-	for _, kind := range []aggregate.Kind{aggregate.Count, aggregate.Sum, aggregate.Avg} {
-		if _, err := g.Register(GroupQuery{Func: aggregate.For(kind)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AddBatch(ts); err != nil {
-		t.Fatal(err)
-	}
-	results, err := g.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var scan *obs.Span
-	for _, sp := range tr.SpanTree() {
-		if sp.Name == "scan" {
-			scan = sp
-		}
-	}
-	if scan == nil {
-		t.Fatal("no scan span recorded")
-	}
-	if got := scan.Attrs["mode"]; got != "shared" {
-		t.Errorf("scan mode = %q, want shared", got)
-	}
-	workers, nodes := sumWorkerLiveNodes(t, scan)
-	if workers < 1 {
-		t.Error("no scan-worker spans under the shared scan")
-	}
-	if nodes != 2*len(ts) {
-		t.Errorf("worker span node sum = %d, want %d", nodes, 2*len(ts))
-	}
-	queries := 0
-	for _, c := range scan.Children {
-		if c.Name != "group-query" {
-			continue
-		}
-		queries++
-		if c.Attrs["rows"] == "" || c.Attrs["query"] == "" {
-			t.Errorf("group-query span missing query/rows attrs: %v", c.Attrs)
-		}
-	}
-	if queries != len(results) {
-		t.Errorf("group-query spans = %d, want %d", queries, len(results))
-	}
-}
-
 // TestTracedPartitionShardSpans: a traced partitioned evaluation records one
 // shard span per partition, each tagged with its index and covered span and
 // carrying the shard's own counter snapshot; sweep shards nest their sort

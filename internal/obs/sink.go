@@ -54,9 +54,6 @@ type EvalSink interface {
 	// recorded as one histogram observation per scan, so concurrent queries
 	// with different parallelism never overwrite each other.
 	SweepParallel(workers, chunks int)
-	// SweepShared reports one shared multi-query pass (core.SweepGroup)
-	// serving n registered queries. Called once at the group's Finish.
-	SweepShared(queries int)
 	// IndexBuild reports one interval-index construction (S37): segment-tree
 	// node slots materialized and tuples indexed. Called once per build.
 	IndexBuild(nodes, tuples int)
@@ -81,7 +78,6 @@ const (
 	MetricSweepFallbacks  = "tempagg_sweep_fallbacks_total"
 	MetricSweepWorkers    = "tempagg_sweep_parallel_workers"
 	MetricSweepChunks     = "tempagg_sweep_chunks_total"
-	MetricSweepShared     = "tempagg_sweep_shared_queries_total"
 	MetricQueries         = "tempagg_queries_total"
 	MetricQueryDuration   = "tempagg_query_duration_seconds"
 	MetricSlowQueries     = "tempagg_slow_queries_total"
@@ -141,7 +137,6 @@ type Metrics struct {
 	sweepFalls  *CounterVec   // by algorithm
 	sweepWork   *HistogramVec // by algorithm, workers per sweep scan
 	sweepChunks *CounterVec   // by algorithm
-	sweepShared *CounterVec   // by algorithm
 	queries     *CounterVec   // by algorithm, status
 	duration    *HistogramVec // by algorithm
 	slow        *Counter
@@ -196,8 +191,6 @@ func NewMetrics(reg *Registry) *Metrics {
 			WorkerBuckets, "algorithm"),
 		sweepChunks: reg.CounterVec(MetricSweepChunks,
 			"Event-stream chunks scanned by the parallel sweep (one per serial run).", "algorithm"),
-		sweepShared: reg.CounterVec(MetricSweepShared,
-			"Queries served by shared multi-query sweep passes (core.SweepGroup).", "algorithm"),
 		queries: reg.CounterVec(MetricQueries,
 			"Queries executed, by chosen algorithm and outcome.", "algorithm", "status"),
 		duration: reg.HistogramVec(MetricQueryDuration,
@@ -254,7 +247,6 @@ func (m *Metrics) Evaluator(algorithm string) EvalSink {
 		sweepFalls:  m.sweepFalls.With(algorithm),
 		sweepWork:   m.sweepWork.With(algorithm),
 		sweepChunks: m.sweepChunks.With(algorithm),
-		sweepShared: m.sweepShared.With(algorithm),
 		idxNodes:    m.idxNodes.With(algorithm),
 		idxLookups:  m.idxLookups.With(algorithm),
 		idxMerges:   m.idxMerges.With(algorithm),
@@ -374,7 +366,6 @@ type evalSink struct {
 	sweepFalls  *Counter
 	sweepWork   *Histogram
 	sweepChunks *Counter
-	sweepShared *Counter
 	idxNodes    *Gauge
 	idxLookups  *Counter
 	idxMerges   *Counter
@@ -397,9 +388,6 @@ func (s *evalSink) Sweep(events, radixPasses, fallbacks int) {
 func (s *evalSink) SweepParallel(workers, chunks int) {
 	s.sweepWork.Observe(float64(workers))
 	s.sweepChunks.Add(int64(chunks))
-}
-func (s *evalSink) SweepShared(queries int) {
-	s.sweepShared.Add(int64(queries))
 }
 func (s *evalSink) IndexBuild(nodes, tuples int) {
 	s.idxNodes.SetMax(int64(nodes))

@@ -22,8 +22,8 @@ type EvalCounters struct {
 // Span is one node of a query's trace tree. Top-level spans are the query's
 // stages (parse, plan, sort, execute, finish); stages fan out into children
 // — per-worker radix/scan/emit spans of the parallel sweep, per-partition
-// shard spans, per-query spans inside a shared SweepGroup — each carrying
-// its own §6 counter snapshot, wall/CPU time, and heap-allocation delta.
+// shard spans — each carrying its own §6 counter snapshot, wall/CPU time,
+// and heap-allocation delta.
 //
 // A span becomes visible (attached to its parent, or to the trace when it
 // has none) only when End is called, so readers of a finished trace never
@@ -143,7 +143,7 @@ func (s *Span) Context() TraceContext {
 }
 
 // TraceContext is the W3C-traceparent-shaped propagation handle threaded
-// through core (SweepOptions, PartitionOptions, SweepGroup): 16-byte trace
+// through core (SweepOptions, PartitionOptions): 16-byte trace
 // ID and 8-byte parent span ID, hex-encoded. In process it also carries the
 // parent *Span so workers can attach children directly; over the wire only
 // the IDs travel (TraceParent/ParseTraceParent), which is what a future

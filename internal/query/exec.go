@@ -227,29 +227,6 @@ func ExecuteTraced(q *Query, rel *relation.Relation, info *RelationInfo, tr *obs
 	qr := &QueryResult{Query: q, Plan: plan}
 	for i, group := range groups {
 		gr := GroupResult{Key: keys[i]}
-		if plan.SharedSweep && q.At == nil && q.Temporal != BySpan {
-			// One SweepGroup pass serves the whole select list: the group is
-			// ingested, sorted, and scanned once instead of once per
-			// aggregate, and each aggregate's rows are identical to its
-			// dedicated sweep's.
-			results, allStats, err := executeSharedSweep(plan, q, group, tr, execCtx)
-			if err != nil {
-				return nil, err
-			}
-			for _, res := range results {
-				if q.Window != nil {
-					res.Clip(*q.Window)
-				}
-			}
-			for _, s := range allStats {
-				traceStats(tr, s)
-			}
-			gr.Results, gr.AllStats = results, allStats
-			gr.Result = gr.Results[0]
-			gr.Stats = gr.AllStats[0]
-			qr.Groups = append(qr.Groups, gr)
-			continue
-		}
 		var dedupedGroup []tuple.Tuple
 		for _, a := range q.Aggs {
 			input := group
@@ -305,18 +282,9 @@ func ExecuteTraced(q *Query, rel *relation.Relation, info *RelationInfo, tr *obs
 }
 
 // tracePlan records the optimizer's decision — and every alternative it
-// priced — on the trace.
+// priced — on the trace, labelled by the plan's strategy.
 func tracePlan(tr *obs.QueryTrace, plan Plan) {
-	alg := plan.Spec.Algorithm.String()
-	switch {
-	case plan.Tuma:
-		alg = "tuma-two-pass"
-	case plan.Snapshot:
-		alg = "snapshot-scan"
-	case plan.Partitioned:
-		alg = "partitioned"
-	}
-	tr.SetPlan(alg, plan.Spec.K, plan.String())
+	tr.SetPlan(plan.strategy(), plan.Spec.K, plan.String())
 	tr.SetPlanCosts(plan.Alternatives)
 }
 
@@ -435,35 +403,6 @@ func executeInstant(plan Plan, meta RelationInfo, f aggregate.Func, ts []tuple.T
 // estimateSeed makes plan-time k-orderedness sampling deterministic, so the
 // same query over the same relation always gets the same plan.
 const estimateSeed = 0x5eed
-
-// executeSharedSweep runs every aggregate of q's select list through one
-// core.SweepGroup over ts. The group's counters — tuples ingested once for
-// all aggregates — are attached to the first aggregate's stats slot; the
-// rest stay zero so trace totals reflect the work actually done, which is
-// the point of sharing the pass.
-func executeSharedSweep(plan Plan, q *Query, ts []tuple.Tuple, tr *obs.QueryTrace, ctx obs.TraceContext) ([]*core.Result, []core.Stats, error) {
-	g := core.NewSweepGroup(core.SweepOptions{Parallel: plan.Spec.Parallel})
-	g.SetSink(tr.Sink())
-	g.SetTrace(ctx)
-	for _, a := range q.Aggs {
-		if _, err := g.Register(core.GroupQuery{Func: aggregate.For(a.Kind)}); err != nil {
-			return nil, nil, err
-		}
-	}
-	for lo := 0; lo < len(ts); lo += core.BatchPage {
-		hi := min(lo+core.BatchPage, len(ts))
-		if err := g.AddBatch(ts[lo:hi]); err != nil {
-			return nil, nil, err
-		}
-	}
-	results, err := g.Finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := make([]core.Stats, len(results))
-	stats[0] = g.Stats()
-	return results, stats, nil
-}
 
 // executePartitioned runs the limited-main-memory evaluation and consumes
 // the streaming ordered merge: each partition's coalesced rows are appended

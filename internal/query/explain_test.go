@@ -29,7 +29,7 @@ var explainGoldenCases = []struct{ name, sql string }{
 	{"using_sweep", "EXPLAIN SELECT COUNT(Salary) FROM Employed USING SWEEP"},
 	{"using_tuma", "EXPLAIN SELECT COUNT(Salary) FROM Employed USING TUMA"},
 	{"using_partitioned", "EXPLAIN SELECT COUNT(Salary) FROM Employed USING PARTITIONED 4"},
-	{"shared_sweep", "EXPLAIN SELECT COUNT(Salary), SUM(Salary), AVG(Salary) FROM Employed"},
+	{"multi_agg_sweep", "EXPLAIN SELECT COUNT(Salary), SUM(Salary), AVG(Salary) FROM Employed"},
 }
 
 func TestExplainGolden(t *testing.T) {

@@ -61,9 +61,9 @@ func ExecuteLive(q *Query, snap *core.LiveSnapshot, tr *obs.QueryTrace) (*QueryR
 		gr.Results = append(gr.Results, res)
 		gr.AllStats = append(gr.AllStats, core.Stats{})
 	}
-	// Like the shared sweep pass, the epoch's tuples are read once for the
-	// whole select list: charge them to the first slot only, so trace
-	// totals reflect work done rather than aggregates served.
+	// The epoch's tuples are read once for the whole select list: charge
+	// them to the first slot only, so trace totals reflect work done rather
+	// than aggregates served.
 	gr.AllStats[0] = core.Stats{Tuples: snap.Len()}
 	gr.Result = gr.Results[0]
 	gr.Stats = gr.AllStats[0]

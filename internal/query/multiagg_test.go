@@ -2,11 +2,13 @@ package query
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"tempagg/internal/aggregate"
 	"tempagg/internal/relation"
+	"tempagg/internal/workload"
 )
 
 func TestParseMultipleAggregates(t *testing.T) {
@@ -127,5 +129,70 @@ func TestQueryResultMarshalJSON(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("JSON missing %s:\n%s", want, s)
 		}
+	}
+}
+
+// TestMultiAggregateMatchesSingle: a select list runs one evaluator per
+// aggregate on every route — in memory, streamed from a file, per
+// attribute group, under a window — so each aggregate's rows are
+// identical to the rows of its own single-aggregate query, and each
+// carries the counters of its own evaluator run.
+func TestMultiAggregateMatchesSingle(t *testing.T) {
+	rel, err := workload.Generate(workload.Config{Tuples: 600, LongLivedPct: 30, Seed: 91})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.Name = "R"
+	path := writeRelation(t, rel)
+	aggs := []string{"COUNT(Name)", "SUM(Salary)", "AVG(Salary)"}
+	for _, tc := range []struct {
+		name    string
+		clauses string // everything after FROM R
+		grouped bool
+		file    bool
+	}{
+		{"in-memory", "", false, false},
+		{"in-memory/where", " WHERE Salary > 40000", false, false},
+		{"in-memory/window", " VALID OVERLAPS 100000 500000", false, false},
+		{"group-by", " GROUP BY Name", true, false},
+		{"group-by/window", " VALID OVERLAPS 100000 500000 GROUP BY Name", true, false},
+		{"file", " USING SWEEP 2", false, true},
+		{"file/group-by/window", " VALID OVERLAPS 100000 500000 GROUP BY Name", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(sql string) *QueryResult {
+				if tc.file {
+					return runFile(t, sql, path)
+				}
+				return execute(t, sql, rel)
+			}
+			sel := "SELECT "
+			if tc.grouped {
+				sel += "Name, "
+			}
+			qr := run(sel + strings.Join(aggs, ", ") + " FROM R" + tc.clauses)
+			if len(qr.Groups) == 0 {
+				t.Fatal("no groups")
+			}
+			for ai, agg := range aggs {
+				want := run(sel + agg + " FROM R" + tc.clauses)
+				if len(qr.Groups) != len(want.Groups) {
+					t.Fatalf("%s: %d groups, want %d", agg, len(qr.Groups), len(want.Groups))
+				}
+				for gi, g := range qr.Groups {
+					w := want.Groups[gi]
+					if g.Key != w.Key {
+						t.Fatalf("%s: group %d is %q, want %q", agg, gi, g.Key, w.Key)
+					}
+					if !reflect.DeepEqual(g.Results[ai].Rows, w.Result.Rows) {
+						t.Errorf("%s group %q: rows differ from the single-aggregate query", agg, g.Key)
+					}
+					if g.AllStats[ai].Tuples != w.Stats.Tuples {
+						t.Errorf("%s group %q: %d tuples counted, single-aggregate query counted %d",
+							agg, g.Key, g.AllStats[ai].Tuples, w.Stats.Tuples)
+					}
+				}
+			}
+		})
 	}
 }

@@ -83,12 +83,6 @@ type Plan struct {
 	// cache: nothing was planned or evaluated, the rows were copied out of
 	// the LRU under a (relation, version, kind, window) key.
 	Cached bool
-	// SharedSweep marks a sweep plan whose several aggregates run as one
-	// core.SweepGroup pass — the relation is ingested, sorted, and scanned
-	// once for the whole select list instead of once per aggregate. Set only
-	// when every aggregate is decomposable and none is DISTINCT (a
-	// deduplicated input would differ per aggregate).
-	SharedSweep bool
 	// Spec is the evaluator to run (ignored when Tuma or Partitioned is set).
 	Spec core.Spec
 	// Reason explains the choice, for EXPLAIN-style output.
@@ -106,23 +100,35 @@ type Plan struct {
 	Prices CostModel
 }
 
-// Algorithm names the plan's execution strategy for traces and EXPLAIN.
-func (p Plan) Algorithm() string {
-	alg := p.Spec.Algorithm.String()
+// strategy names the plan's execution strategy without its parameters (k,
+// partition count, a preceding sort): the algorithm label traces and the
+// per-algorithm metrics group by.
+func (p Plan) strategy() string {
 	switch {
 	case p.Cached:
-		alg = "result-cache"
+		return "result-cache"
 	case p.UseIndex:
-		alg = core.IndexLookupAlg
+		return core.IndexLookupAlg
 	case p.Live:
-		alg = "live-snapshot"
+		return "live-snapshot"
 	case p.Tuma:
-		alg = "tuma-two-pass"
+		return "tuma-two-pass"
 	case p.Snapshot:
-		alg = "snapshot-scan"
+		return "snapshot-scan"
 	case p.Partitioned:
+		return "partitioned"
+	}
+	return p.Spec.Algorithm.String()
+}
+
+// Algorithm names the plan's execution strategy with its parameters, for
+// EXPLAIN and the priced alternatives.
+func (p Plan) Algorithm() string {
+	alg := p.strategy()
+	switch alg {
+	case "partitioned":
 		alg = fmt.Sprintf("partitioned(n=%d)", p.Partitions)
-	case p.Spec.Algorithm == core.KOrderedTree:
+	case core.KOrderedTree.String():
 		alg = fmt.Sprintf("%s(k=%d)", alg, p.Spec.K)
 	}
 	if p.SortFirst {
@@ -133,35 +139,7 @@ func (p Plan) Algorithm() string {
 
 // String renders the plan.
 func (p Plan) String() string {
-	alg := p.Spec.Algorithm.String()
-	if p.Cached {
-		return fmt.Sprintf("result-cache — %s", p.Reason)
-	}
-	if p.UseIndex {
-		return fmt.Sprintf("%s — %s", core.IndexLookupAlg, p.Reason)
-	}
-	if p.Live {
-		return fmt.Sprintf("live-snapshot — %s", p.Reason)
-	}
-	if p.Tuma {
-		alg = "tuma-two-pass"
-	}
-	if p.Snapshot {
-		alg = "snapshot-scan"
-	}
-	if p.Partitioned {
-		alg = fmt.Sprintf("partitioned(n=%d)", p.Partitions)
-	}
-	if p.Spec.Algorithm == core.KOrderedTree && !p.Tuma && !p.Partitioned {
-		alg = fmt.Sprintf("%s(k=%d)", alg, p.Spec.K)
-	}
-	if p.SharedSweep {
-		alg += " (shared pass)"
-	}
-	if p.SortFirst {
-		alg = "sort + " + alg
-	}
-	return fmt.Sprintf("%s — %s", alg, p.Reason)
+	return fmt.Sprintf("%s — %s", p.Algorithm(), p.Reason)
 }
 
 // resolveUsing maps a USING clause to a plan.
@@ -208,10 +186,7 @@ func resolveUsing(q *Query) (Plan, error) {
 		if w < 0 {
 			return Plan{}, fmt.Errorf("query: USING SWEEP requires K >= 0 workers, got %d", w)
 		}
-		return Plan{
-			SharedSweep: sharedSweepEligible(q),
-			Spec:        core.Spec{Algorithm: core.SweepEval, Parallel: w},
-		}, nil
+		return Plan{Spec: core.Spec{Algorithm: core.SweepEval, Parallel: w}}, nil
 	case "TUMA":
 		return Plan{Tuma: true}, nil
 	case "INDEX":
@@ -314,9 +289,8 @@ func planQualitative(q *Query, info RelationInfo) (Plan, error) {
 	sweepEst := int64(6*info.Tuples+1) * core.NodeBytes
 	if decomposableAggs(q) && (info.MemoryBudget == 0 || sweepEst <= info.MemoryBudget) {
 		return Plan{
-			SharedSweep: sharedSweepEligible(q),
-			Spec:        core.Spec{Algorithm: core.SweepEval},
-			Reason:      fmt.Sprintf("unsorted relation, decomposable aggregates: columnar event sweep (≤%d B)", sweepEst),
+			Spec:   core.Spec{Algorithm: core.SweepEval},
+			Reason: fmt.Sprintf("unsorted relation, decomposable aggregates: columnar event sweep (≤%d B)", sweepEst),
 		}, nil
 	}
 	// Estimate the aggregation tree's memory: each tuple adds at most 4
@@ -348,20 +322,4 @@ func decomposableAggs(q *Query) bool {
 		}
 	}
 	return len(q.Aggs) > 0
-}
-
-// sharedSweepEligible reports whether a sweep plan for q should run its
-// select list as one shared core.SweepGroup pass: at least two aggregates,
-// all decomposable, none DISTINCT (deduplication changes the input per
-// aggregate, so a shared event buffer cannot serve it).
-func sharedSweepEligible(q *Query) bool {
-	if len(q.Aggs) < 2 {
-		return false
-	}
-	for _, a := range q.Aggs {
-		if !a.Kind.Decomposable() || a.Distinct {
-			return false
-		}
-	}
-	return true
 }

@@ -107,3 +107,17 @@ func TestResolveUsingRejectsNegativeK(t *testing.T) {
 		t.Fatal("negative K must be rejected")
 	}
 }
+
+func TestUsingSweepParallelK(t *testing.T) {
+	q := mustParse(t, "SELECT COUNT(Name) FROM R USING SWEEP 4")
+	plan, err := PlanQuery(q, RelationInfo{Tuples: 10, KBound: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Spec.Algorithm != core.SweepEval || plan.Spec.Parallel != 4 {
+		t.Fatalf("USING SWEEP 4 planned %v parallel=%d", plan.Spec.Algorithm, plan.Spec.Parallel)
+	}
+	if _, err := resolveUsing(&Query{Using: "SWEEP", HasUsingK: true, UsingK: -1}); err == nil {
+		t.Fatal("USING SWEEP -1 must be rejected")
+	}
+}

@@ -135,124 +135,7 @@ func executeFileTraced(q *Query, path string, info *RelationInfo, sopts relation
 	if plan.Tuma {
 		return streamTuma(q, plan, sc, tr)
 	}
-	if plan.SharedSweep {
-		return streamSharedSweep(q, plan, sc, tr)
-	}
 	return streamEvaluators(q, plan, sc, tr)
-}
-
-// streamSharedSweep is streamEvaluators for a SharedSweep plan: one
-// SweepGroup per attribute group serves the whole select list, so the
-// stream is ingested, sorted, and scanned once per group instead of once
-// per group and aggregate.
-func streamSharedSweep(q *Query, plan Plan, sc *relation.Scanner, tr *obs.QueryTrace) (*QueryResult, error) {
-	groups := map[string]*core.SweepGroup{}
-	newGroup := func() (*core.SweepGroup, error) {
-		g := core.NewSweepGroup(core.SweepOptions{Parallel: plan.Spec.Parallel})
-		g.SetSink(tr.Sink())
-		for _, a := range q.Aggs {
-			if _, err := g.Register(core.GroupQuery{Func: aggregate.For(a.Kind)}); err != nil {
-				return nil, err
-			}
-		}
-		return g, nil
-	}
-
-	pages := map[string][]tuple.Tuple{}
-	flush := func(key string) error {
-		page := pages[key]
-		if len(page) == 0 {
-			return nil
-		}
-		if err := groups[key].AddBatch(page); err != nil {
-			return fmt.Errorf("query: streaming shared sweep: %w", err)
-		}
-		pages[key] = page[:0]
-		return nil
-	}
-
-	execSpan := tr.StartSpan("execute")
-	for {
-		t, ok, err := sc.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if !q.accepts(t) {
-			continue
-		}
-		key := ""
-		if q.GroupAttr != nil {
-			key = t.Name
-		}
-		if _, exists := groups[key]; !exists {
-			g, err := newGroup()
-			if err != nil {
-				return nil, err
-			}
-			groups[key] = g
-		}
-		pages[key] = append(pages[key], t)
-		if len(pages[key]) >= core.BatchPage {
-			if err := flush(key); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for key := range groups {
-		if err := flush(key); err != nil {
-			return nil, err
-		}
-	}
-	if q.GroupAttr == nil && len(groups) == 0 {
-		g, err := newGroup()
-		if err != nil {
-			return nil, err
-		}
-		groups[""] = g
-	}
-	execSpan.End()
-
-	finishSpan := tr.StartSpan("finish")
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	qr := &QueryResult{Query: q, Plan: plan}
-	for _, k := range keys {
-		g := groups[k]
-		// The shared pass — sorts, chunked scan, per-query stitches — runs
-		// inside Finish, so its spans hang off the finish stage.
-		g.SetTrace(finishSpan.Context())
-		results, err := g.Finish()
-		if err != nil {
-			return nil, err
-		}
-		gr := GroupResult{Key: k}
-		for ai, res := range results {
-			if q.Window != nil {
-				res.Clip(*q.Window)
-			}
-			gr.Results = append(gr.Results, res)
-			// The pass ran once for all aggregates: its counters sit on the
-			// first slot so trace totals equal the work done.
-			if ai == 0 {
-				gr.AllStats = append(gr.AllStats, g.Stats())
-				traceStats(tr, g.Stats())
-			} else {
-				gr.AllStats = append(gr.AllStats, core.Stats{})
-			}
-		}
-		gr.Result = gr.Results[0]
-		gr.Stats = gr.AllStats[0]
-		qr.Groups = append(qr.Groups, gr)
-	}
-	finishSpan.End()
-	tr.SetGroups(len(qr.Groups))
-	return qr, nil
 }
 
 // scanAll materializes the scanner into a relation named for the query.

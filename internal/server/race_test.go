@@ -80,8 +80,8 @@ func TestConcurrentDeclareAndQuery(t *testing.T) {
 }
 
 // TestConcurrentTracedQueriesAndScrapes is the race-detector regression for
-// the span tree: parallel sweep workers and shared SweepGroup stitches
-// attach child spans from their own goroutines while HTTP scrapers read
+// the span tree: parallel sweep workers, one sweep per select-list
+// aggregate, attach child spans from their own goroutines while HTTP scrapers read
 // /metrics, /debug/traces (which serializes finished span trees), and
 // /debug/queries. Span attachment happens under the trace lock at End();
 // any unsynchronized touch of Span.Children, Attrs, or Counters fails this
@@ -92,7 +92,7 @@ func TestConcurrentTracedQueriesAndScrapes(t *testing.T) {
 	queries := []string{
 		// Forced two-worker sweep: per-worker scan spans from two goroutines.
 		"EXPLAIN ANALYZE SELECT COUNT(Salary) FROM Employed USING SWEEP 2",
-		// Shared SweepGroup: one pass, per-query stitch spans.
+		// One parallel sweep per aggregate, each with its own worker spans.
 		"SELECT COUNT(Salary), SUM(Salary), AVG(Salary) FROM Employed USING SWEEP 2",
 		"EXPLAIN SELECT COUNT(Salary) FROM Employed",
 	}

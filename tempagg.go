@@ -96,15 +96,6 @@ type (
 	PartitionStream = core.PartitionStream
 	// StreamChunk is one partition's coalesced result on a PartitionStream.
 	StreamChunk = core.StreamChunk
-	// SweepOptions parameterizes the columnar sweep, most importantly its
-	// Parallel worker count (0 = GOMAXPROCS, 1 = serial).
-	SweepOptions = core.SweepOptions
-	// SweepGroup evaluates several decomposable queries in one shared
-	// ingest-sort-scan pass over one event buffer.
-	SweepGroup = core.SweepGroup
-	// GroupQuery is one SweepGroup registration: an aggregate plus an
-	// optional tuple filter.
-	GroupQuery = core.GroupQuery
 	// LiveEvaluator ingests tuples concurrently with snapshot readers:
 	// epoch-based consistent reads during live ingestion (S36).
 	LiveEvaluator = core.LiveEvaluator
@@ -237,33 +228,6 @@ func Query(sql string, rel *Relation, info *RelationInfo) (*QueryResult, error) 
 	return query.Run(sql, rel, info)
 }
 
-// QueryBatch parses and executes several queries over the relation in one
-// call. Sweep-eligible queries (decomposable aggregates, no snapshot, span
-// or attribute grouping, no DISTINCT) are served together from shared
-// SweepGroup passes — the relation is ingested, sorted, and scanned once
-// per wave of up to MaxSweepGroupQueries aggregates instead of once per
-// query; the rest execute individually. Results align with sqls by index.
-func QueryBatch(sqls []string, rel *Relation, info *RelationInfo) ([]*QueryResult, error) {
-	qs := make([]*query.Query, len(sqls))
-	for i, sql := range sqls {
-		q, err := query.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		qs[i] = q
-	}
-	return query.ExecuteBatch(qs, rel, info)
-}
-
-// MaxSweepGroupQueries is a SweepGroup's registration capacity — the width
-// of the per-event query bitmask that rides through the shared sort.
-const MaxSweepGroupQueries = core.MaxGroupQueries
-
-// NewSweepGroup returns an empty shared-pass group over [0, ∞). Register
-// queries first, then feed tuples with Add/AddBatch, then Finish for one
-// Result per query in registration order.
-func NewSweepGroup(opts SweepOptions) *SweepGroup { return core.NewSweepGroup(opts) }
-
 // NewLive returns an empty live evaluator: writers Add/AddBatch while
 // readers take consistent epochs with Snapshot, without blocking either
 // side on the other.
@@ -271,12 +235,6 @@ func NewLive(opts LiveOptions) *LiveEvaluator { return core.NewLive(opts) }
 
 // ErrLiveClosed is returned by live ingestion and Snapshot after Close.
 var ErrLiveClosed = core.ErrLiveClosed
-
-// NewGroupQuery builds a SweepGroup registration for the given aggregate
-// kind; filter may be nil for an unrestricted query.
-func NewGroupQuery(kind AggregateKind, filter func(Tuple) bool) GroupQuery {
-	return GroupQuery{Func: aggregate.For(kind), Filter: filter}
-}
 
 // KOrderedness returns the minimal k for which the tuples are k-ordered.
 func KOrderedness(ts []Tuple) int { return order.KOrderedness(ts) }
