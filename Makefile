@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lint-baseline test race fuzz-smoke obs-smoke bench-smoke bench-smoke-mp
+.PHONY: all build vet lint lint-json lint-baseline test race stress fuzz-smoke obs-smoke bench-smoke bench-smoke-mp e2ebench-check
 
 all: build lint test
 
@@ -43,6 +43,20 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -short -cpu 1,2,4 -count=3 ./internal/core ./internal/catalog ./internal/server
+
+# Local-only soak of the concurrency suites, not run in CI: fifty
+# repetitions at three GOMAXPROCS values surface interleavings that the
+# three repetitions of `make race` rarely reach (about two minutes on a
+# 2-vCPU machine).
+stress:
+	$(GO) test -race -short -run 'Race|Concurrent' -cpu 1,2,4 -count=50 ./internal/core ./internal/catalog ./internal/server
+
+# The end-to-end benchmark is a module of its own (e2ebench/go.mod, which
+# imports the program through `replace tempagg => ../`), so the root
+# `go build ./...` never compiles it. This keeps an API change from
+# breaking the benchmark unseen.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 # Boot tempaggd with its admin surface, run a plain query plus an EXPLAIN
 # ANALYZE, and fail if /metrics, /debug/traces, /debug/queries, or

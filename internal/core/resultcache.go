@@ -10,6 +10,7 @@ package core
 import (
 	"container/list"
 	"sync"
+	"unsafe"
 
 	"tempagg/internal/aggregate"
 	"tempagg/internal/interval"
@@ -19,6 +20,13 @@ import (
 // to: enough for a dashboard's worth of distinct (window, aggregate)
 // panels across a handful of relation versions.
 const DefaultResultCacheCapacity = 256
+
+// maxCacheBytes bounds the rows a cache holds, each weighed at
+// unsafe.Sizeof(Row{}): least-recently-used entries are evicted while the
+// total exceeds it, and a larger result is never admitted. One unfiltered
+// whole-history result over a 256K-tuple relation is ~16 MiB, so an entry
+// bound alone would let 256 of them reach gigabytes.
+const maxCacheBytes = 64 << 20
 
 // CacheKey identifies one cached range-query answer.
 type CacheKey struct {
@@ -41,11 +49,14 @@ type CacheKey struct {
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 	Entries                 int
+	// Bytes is the weight of the cached rows (see maxCacheBytes).
+	Bytes int64
 }
 
-// ResultCache is a bounded LRU over finished results. It is safe for
-// concurrent use. Entries are stored and served by copy: callers may
-// mutate what Get returns (Clip, Coalesce) without corrupting the cache.
+// ResultCache is an LRU over finished results, bounded in entries and in
+// bytes. It is safe for concurrent use. Entries are stored and served by
+// copy: callers may mutate what Get returns (Clip, Coalesce) without
+// corrupting the cache.
 // After Close the cache must not be used (tempagglint's finishonce
 // analyzer enforces this like the evaluators' Finish contract).
 type ResultCache struct {
@@ -53,6 +64,7 @@ type ResultCache struct {
 	cap     int
 	order   *list.List // front = most recent; values are *cacheEntry
 	entries map[CacheKey]*list.Element
+	bytes   int64
 	stats   CacheStats
 	closed  bool
 }
@@ -60,6 +72,11 @@ type ResultCache struct {
 type cacheEntry struct {
 	key CacheKey
 	res *Result
+}
+
+// resultBytes weighs a result by its rows.
+func resultBytes(res *Result) int64 {
+	return int64(len(res.Rows)) * int64(unsafe.Sizeof(Row{}))
 }
 
 // NewResultCache returns a cache bounded to capacity entries; capacity
@@ -95,9 +112,14 @@ func (c *ResultCache) Get(key CacheKey) (*Result, bool) {
 }
 
 // Put stores a copy of res under key, evicting least-recently-used
-// entries beyond capacity, and reports how many were evicted. Storing an
-// existing key refreshes its value and recency.
+// entries beyond the entry or byte bound, and reports how many were
+// evicted. Storing an existing key refreshes its value and recency; a
+// result heavier than maxCacheBytes is not stored.
 func (c *ResultCache) Put(key CacheKey, res *Result) (evicted int) {
+	size := resultBytes(res)
+	if size > maxCacheBytes {
+		return 0
+	}
 	clone := &Result{Func: res.Func, Rows: append([]Row(nil), res.Rows...)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -105,15 +127,18 @@ func (c *ResultCache) Put(key CacheKey, res *Result) (evicted int) {
 		return 0
 	}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = clone
+		e := el.Value.(*cacheEntry)
+		c.bytes += size - resultBytes(e.res)
+		e.res = clone
 		c.order.MoveToFront(el)
-		return 0
+	} else {
+		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: clone})
+		c.bytes += size
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: clone})
-	for len(c.entries) > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.entries, back.Value.(*cacheEntry).key)
+	for len(c.entries) > c.cap || c.bytes > maxCacheBytes {
+		e := c.order.Remove(c.order.Back()).(*cacheEntry)
+		delete(c.entries, e.key)
+		c.bytes -= resultBytes(e.res)
 		evicted++
 	}
 	c.stats.Evictions += int64(evicted)
@@ -125,7 +150,7 @@ func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Entries = len(c.entries)
+	s.Entries, s.Bytes = len(c.entries), c.bytes
 	return s
 }
 
@@ -137,5 +162,6 @@ func (c *ResultCache) Close() error {
 	c.closed = true
 	c.order.Init()
 	c.entries = map[CacheKey]*list.Element{}
+	c.bytes = 0
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"tempagg/internal/aggregate"
 	"tempagg/internal/interval"
@@ -143,5 +144,48 @@ func TestResultCacheCapacityFloor(t *testing.T) {
 	c.Put(key, cachedResult(3))
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("default-capacity cache dropped its first entry")
+	}
+}
+
+// TestResultCacheByteBound hits the byte bound: a result heavier than
+// maxCacheBytes is never admitted, and mid-size results evict the
+// least-recently-used ones once their rows pass it — well before the
+// default entry bound.
+func TestResultCacheByteBound(t *testing.T) {
+	rowBytes := int64(unsafe.Sizeof(Row{}))
+	key := func(i int) CacheKey {
+		return cacheKey(fmt.Sprintf("r%d", i), "v", aggregate.Count, interval.Universe())
+	}
+	c := NewResultCache(0)
+	oversize := &Result{Func: aggregate.For(aggregate.Count), Rows: make([]Row, maxCacheBytes/rowBytes+1)}
+	if ev := c.Put(key(-1), oversize); ev != 0 {
+		t.Fatalf("oversize Put evicted %d", ev)
+	}
+	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 {
+		t.Fatalf("oversize result admitted: %+v", s)
+	}
+	// Four 16 MiB results fill the 64 MiB bound; each further one evicts.
+	mid := &Result{Func: aggregate.For(aggregate.Count), Rows: make([]Row, (16<<20)/rowBytes)}
+	evicted := 0
+	for i := 0; i < 10; i++ {
+		evicted += c.Put(key(i), mid)
+	}
+	s := c.Stats()
+	if want := 4 * resultBytes(mid); s.Entries != 4 || s.Bytes != want || s.Bytes > maxCacheBytes {
+		t.Fatalf("stats %+v, want 4 entries holding %d bytes", s, want)
+	}
+	if evicted != 6 || s.Evictions != 6 {
+		t.Fatalf("evicted %d (stats %d), want 6", evicted, s.Evictions)
+	}
+	for i := 0; i < 10; i++ {
+		if _, ok := c.Get(key(i)); ok != (i >= 6) {
+			t.Errorf("key %d resident = %v, want the four most recent", i, ok)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Bytes != 0 {
+		t.Fatalf("closed cache holds %d bytes", s.Bytes)
 	}
 }

@@ -39,6 +39,18 @@ var queryCorpus = []string{
 	"SELECT MIN(Salary) FROM R USING SWEEP",
 	"SELECT Name, AVG(Salary) FROM R GROUP BY Name USING SWEEP",
 	"SELECT Name, AVG(Salary) FROM R WHERE Salary > 30000 GROUP BY Name USING LIST",
+	// Shapes the file route once answered by materializing the relation.
+	"SELECT AVG(Salary) FROM R AT 500000 WHERE Salary > 40000",
+	"SELECT Name, MIN(Salary) FROM R AT 250000 WHERE Salary <= 60000 GROUP BY Name",
+	"SELECT MAX(Salary), COUNT(DISTINCT Name) FROM R AT 500000 WHERE Salary > 30000",
+	"SELECT COUNT(DISTINCT Name) FROM R VALID OVERLAPS 100000 600000",
+	"SELECT SUM(Salary) FROM R USING PARTITIONED 4",
+	"SELECT SUM(Salary), MAX(Salary) FROM R VALID OVERLAPS 100000 900000 USING INDEX",
+	"SELECT COUNT(Name) FROM R WHERE Salary > 999999999",
+	// Span grouping takes no evaluator, whatever the USING clause names.
+	"SELECT COUNT(Name) FROM R GROUP BY SPAN 100000 USING TUMA",
+	"SELECT SUM(Salary) FROM R VALID OVERLAPS 0 999999 GROUP BY SPAN 250000 USING TUMA",
+	"SELECT COUNT(Name) FROM R GROUP BY SPAN 100000 USING KTREE 1",
 }
 
 // TestDifferentialMemoryVsFile runs the whole corpus both in memory and
@@ -88,6 +100,48 @@ func TestDifferentialMemoryVsFile(t *testing.T) {
 	}
 }
 
+// TestSpanGroupingIgnoresStrategy: a span-grouped query's rows do not
+// depend on the USING clause, on either route — Tuma and the k-ordered tree
+// give exactly the span rows USING LIST gives.
+func TestSpanGroupingIgnoresStrategy(t *testing.T) {
+	rel, err := workload.Generate(workload.Config{Tuples: 700, LongLivedPct: 30, Seed: 58})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.Name = "R"
+	path := writeRelation(t, rel)
+	for _, base := range []string{
+		"SELECT COUNT(Name) FROM R GROUP BY SPAN 100000",
+		"SELECT SUM(Salary), MAX(Salary) FROM R VALID OVERLAPS 0 999999 GROUP BY SPAN 250000",
+	} {
+		want, err := Run(base+" USING LIST", rel, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, using := range []string{" USING TUMA", " USING KTREE 1"} {
+			sql := base + using
+			mem, err := Run(sql, rel, nil)
+			if err != nil {
+				t.Fatalf("%s in memory: %v", sql, err)
+			}
+			file, err := RunFile(sql, path, nil, relation.ScanOptions{})
+			if err != nil {
+				t.Fatalf("%s from file: %v", sql, err)
+			}
+			for _, got := range []*QueryResult{mem, file} {
+				if len(got.Groups) != 1 || len(got.Groups[0].Results) != len(want.Groups[0].Results) {
+					t.Fatalf("%s: %d groups, want 1 with %d results", sql, len(got.Groups), len(want.Groups[0].Results))
+				}
+				for ri, res := range got.Groups[0].Results {
+					if !res.Equal(want.Groups[0].Results[ri]) {
+						t.Fatalf("%s result %d differs from USING LIST:\n%s\nvs\n%s", sql, ri, res, want.Groups[0].Results[ri])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDifferentialRandomizedScan repeats the instant-grouped corpus entries
 // under a page-randomized scan, which must not change any result.
 func TestDifferentialRandomizedScan(t *testing.T) {
@@ -113,6 +167,37 @@ func TestDifferentialRandomizedScan(t *testing.T) {
 		for gi := range mem.Groups {
 			if !mem.Groups[gi].Result.Equal(file.Groups[gi].Result) {
 				t.Fatalf("%s: randomized scan changed group %q", sql, mem.Groups[gi].Key)
+			}
+		}
+	}
+}
+
+// TestUsingIndexMatchesEvaluator: an index built over the window-filtered
+// relation answers window, instant and whole-timeline queries with exactly
+// the evaluators' rows.
+func TestUsingIndexMatchesEvaluator(t *testing.T) {
+	rel, err := workload.Generate(workload.Config{Tuples: 700, LongLivedPct: 30, Seed: 57})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.Name = "R"
+	for _, agg := range []string{"COUNT(Name)", "SUM(Salary)", "AVG(Salary)", "MIN(Salary)", "MAX(Salary)"} {
+		for _, clause := range []string{"", " VALID OVERLAPS 100000 600000", " AT 500000"} {
+			sql := "SELECT " + agg + " FROM R" + clause
+			want, err := Run(sql, rel, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(sql+" USING INDEX", rel, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Plan.UseIndex {
+				t.Fatalf("%s USING INDEX planned %v", sql, got.Plan)
+			}
+			if !got.Groups[0].Result.Equal(want.Groups[0].Result) {
+				t.Errorf("%s: index rows differ from the evaluator's:\n%s\nvs\n%s",
+					sql, got.Groups[0].Result, want.Groups[0].Result)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,6 +100,20 @@ func cmpOrdered(sign int, op CompareOp) bool {
 	return false
 }
 
+// accepts reports whether the tuple passes the query's window and WHERE
+// conditions.
+func (q *Query) accepts(t tuple.Tuple) bool {
+	if q.Window != nil && !t.Valid.Overlaps(*q.Window) {
+		return false
+	}
+	for _, c := range q.Where {
+		if !c.matches(t) {
+			return false
+		}
+	}
+	return true
+}
+
 // Execute runs a parsed query over an in-memory relation. info supplies the
 // optimizer's metadata; pass nil to derive it from the relation itself
 // (cardinality and an order check).
@@ -114,9 +129,48 @@ func ExecuteTraced(q *Query, rel *relation.Relation, info *RelationInfo, tr *obs
 	if q.Relation != rel.Name {
 		return nil, fmt.Errorf("query: relation %q not found (have %q)", q.Relation, rel.Name)
 	}
+	meta := RelationInfo{Tuples: rel.Len(), Sorted: rel.IsSorted(), KBound: -1}
+	if info != nil {
+		meta = *info
+	}
+	// With cost-based planning on an unsorted relation of undeclared
+	// disorder, sample a k-orderedness estimate first so the planner can
+	// price the no-sort k-ordered tree — §6.3's retroactively-bounded case,
+	// discovered rather than declared. Only a resident slice can be sampled.
+	if meta.Cost.Enabled() && !meta.Sorted && meta.KBound < 0 && meta.SampledK <= 0 {
+		meta.SampledK = order.EstimateKOrderedness(rel.Tuples, 0, estimateSeed)
+	}
+	return executeSource(q, sliceSource{core.NewSliceSource(rel.Tuples)}, meta, tr)
+}
+
+// tupleSource is a rescannable tuple stream (Tuma reads it twice) with a
+// time-sorted view of itself, returned with the func that releases it.
+type tupleSource interface {
+	core.TupleSource
+	sorted() (core.TupleSource, func(), error)
+}
+
+// sliceSource is an in-memory relation; its sorted view is the relation
+// itself when already in order, otherwise a sorted copy, which keeps the
+// caller's relation untouched.
+type sliceSource struct{ *core.SliceSource }
+
+func (s sliceSource) sorted() (core.TupleSource, func(), error) {
+	ts := s.Tuples
+	less := func(i, j int) bool { return ts[i].Less(ts[j]) }
+	if !sort.SliceIsSorted(ts, less) {
+		ts = slices.Clone(ts)
+		sort.SliceStable(ts, less)
+	}
+	return core.NewSliceSource(ts), func() {}, nil
+}
+
+// executeSource is the one static query executor, behind both the in-memory
+// and the file route. It plans once, then makes a single pass — source →
+// filter → group → sink — over the relation (§6).
+func executeSource(q *Query, src tupleSource, meta RelationInfo, tr *obs.QueryTrace) (*QueryResult, error) {
 	if q.Live {
-		// Live reads go through ExecuteLive against a catalog-managed
-		// snapshot; a static relation has no epoch to read.
+		// A static relation has no epoch to read; see ExecuteLive.
 		return nil, fmt.Errorf("query: relation %q is not a live relation", q.Relation)
 	}
 	if q.Explain == ExplainAnalyze && tr == nil {
@@ -124,156 +178,32 @@ func ExecuteTraced(q *Query, rel *relation.Relation, info *RelationInfo, tr *obs
 		// standalone trace records it without a sink or trace ring.
 		tr = obs.NewQueryTrace(q.String())
 	}
-	meta := RelationInfo{Tuples: rel.Len(), Sorted: rel.IsSorted(), KBound: -1}
-	if info != nil {
-		meta = *info
-	}
 	planSpan := tr.StartSpan("plan")
-	var plan Plan
-	if q.At != nil && q.Using != "INDEX" && !(q.Using == "" && meta.Index != nil && IndexEligible(q)) {
-		// Snapshot reduction: the value at one instant needs no constant
-		// intervals — a single aggregation pass over the qualifying tuples.
-		// With a resident index (or USING INDEX) the point lookup is one
-		// O(log n) root-path merge instead, planned below like any query.
-		plan = Plan{Snapshot: true, Reason: fmt.Sprintf("snapshot at %d: direct aggregation, no constant intervals", *q.At)}
-	} else {
-		// With cost-based planning on an unsorted relation of undeclared
-		// disorder, sample a k-orderedness estimate first so the planner can
-		// price the no-sort k-ordered tree — §6.3's retroactively-bounded
-		// case, discovered rather than declared.
-		if meta.Cost.Enabled() && !meta.Sorted && meta.KBound < 0 && meta.SampledK <= 0 {
-			meta.SampledK = order.EstimateKOrderedness(rel.Tuples, 0, estimateSeed)
-		}
-		var err error
-		plan, err = PlanQuery(q, meta)
-		if err != nil {
-			return nil, err
-		}
-	}
+	plan, err := PlanQuery(q, meta)
 	planSpan.End()
-	tracePlan(tr, plan)
+	if err != nil {
+		return nil, err
+	}
+	tr.SetPlan(plan.strategy(), plan.Spec.K, plan.String())
+	tr.SetPlanCosts(plan.Alternatives)
+	qr := &QueryResult{Query: q, Plan: plan}
 	if q.Explain == ExplainPlan {
-		// Plan only: render the tree with every priced alternative and skip
-		// execution entirely.
-		qr := &QueryResult{Query: q, Plan: plan}
+		// Plan only: no tuple is read.
 		qr.Explain = RenderExplain(qr, nil)
 		return qr, nil
 	}
-	// An index plan needs its index: the catalog's resident one when
-	// supplied, otherwise built here over the relation — worth it only
-	// under USING INDEX (the qualitative planner never chooses the index
-	// without a resident handle), kept for the query's duration.
-	var idx *core.IntervalIndex
-	if plan.UseIndex {
-		idx = meta.Index
-		if idx == nil {
-			buildSpan := tr.StartSpan("index-build")
-			built, err := core.NewIntervalIndex(rel.Tuples)
-			buildSpan.End()
-			if err != nil {
-				return nil, err
-			}
-			built.SetSink(tr.Sink())
-			defer built.Close()
-			idx = built
-		}
+	x := &executor{q: q, plan: plan, meta: meta, tr: tr}
+	qr.Groups, err = x.pass(src)
+	if err != nil && plan.SampledK {
+		// The sampled disorder bound proved too low and the k-ordered tree
+		// rejected a tuple. Pay the sort the estimate tried to avoid and
+		// rerun the pass at k=1.
+		x.plan = Plan{SortFirst: true, Spec: core.Spec{Algorithm: core.KOrderedTree, K: 1}}
+		qr.Groups, err = x.pass(src)
 	}
-
-	execSpan := tr.StartSpan("execute")
-	execCtx := execSpan.Context()
-
-	// VALID window and WHERE filter.
-	filtered := rel.Tuples
-	if len(q.Where) > 0 || q.Window != nil {
-		filtered = make([]tuple.Tuple, 0, len(rel.Tuples))
-		for _, t := range rel.Tuples {
-			if q.Window != nil && !t.Valid.Overlaps(*q.Window) {
-				continue
-			}
-			keep := true
-			for _, c := range q.Where {
-				if !c.matches(t) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				filtered = append(filtered, t)
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
-
-	// Attribute grouping (GROUP BY Name): partition, then aggregate each
-	// group independently — Epstein's temporary-relation strategy with the
-	// interval machinery per group (§3, §4.2).
-	groups := [][]tuple.Tuple{filtered}
-	keys := []string{""}
-	if q.GroupAttr != nil {
-		byKey := make(map[string][]tuple.Tuple)
-		for _, t := range filtered {
-			byKey[t.Name] = append(byKey[t.Name], t)
-		}
-		keys = keys[:0]
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		groups = groups[:0]
-		for _, k := range keys {
-			groups = append(groups, byKey[k])
-		}
-	}
-
-	qr := &QueryResult{Query: q, Plan: plan}
-	for i, group := range groups {
-		gr := GroupResult{Key: keys[i]}
-		var dedupedGroup []tuple.Tuple
-		for _, a := range q.Aggs {
-			input := group
-			if a.Distinct {
-				// Duplicate elimination before processing (§7), computed
-				// once per group.
-				if dedupedGroup == nil {
-					dedupedGroup = relation.Deduplicate(group)
-				}
-				input = dedupedGroup
-			}
-			f := aggregate.For(a.Kind)
-			var (
-				res   *core.Result
-				stats core.Stats
-				err   error
-			)
-			switch {
-			case plan.UseIndex:
-				// Index eligibility guarantees a single unfiltered group, so
-				// input plays no part: the answer is assembled from node
-				// partials alone.
-				res, err = indexLookup(idx, q, f, tr)
-			case q.At != nil:
-				res = snapshotResult(f, input, *q.At)
-				stats = core.Stats{Tuples: len(input)}
-				sinkTuples(tr, "snapshot-scan", len(input))
-			case q.Temporal == BySpan:
-				res, err = executeSpan(q, f, input)
-			default:
-				res, stats, err = executeInstant(plan, meta, f, input, tr, execCtx)
-				if err == nil && q.Window != nil {
-					res.Clip(*q.Window)
-				}
-			}
-			if err != nil {
-				return nil, err
-			}
-			traceStats(tr, stats)
-			gr.Results = append(gr.Results, res)
-			gr.AllStats = append(gr.AllStats, stats)
-		}
-		gr.Result = gr.Results[0]
-		gr.Stats = gr.AllStats[0]
-		qr.Groups = append(qr.Groups, gr)
-	}
-	execSpan.End()
 	tr.SetGroups(len(qr.Groups))
 	if q.Explain == ExplainAnalyze {
 		qr.Explain = RenderExplain(qr, tr)
@@ -281,11 +211,315 @@ func ExecuteTraced(q *Query, rel *relation.Relation, info *RelationInfo, tr *obs
 	return qr, nil
 }
 
-// tracePlan records the optimizer's decision — and every alternative it
-// priced — on the trace, labelled by the plan's strategy.
-func tracePlan(tr *obs.QueryTrace, plan Plan) {
-	tr.SetPlan(plan.strategy(), plan.Spec.K, plan.String())
-	tr.SetPlanCosts(plan.Alternatives)
+// needsSort is the one rule for sorted input: the sort-first strategy, or a
+// k-ordered tree whose k the input is not known to respect — the relation
+// is neither sorted nor declared at most k-disordered, and k is below its
+// cardinality. A sampled bound is trusted; a miss reruns the pass sorted.
+// Span grouping never runs the plan's evaluator, so it never sorts.
+func needsSort(q *Query, plan Plan, meta RelationInfo) bool {
+	if q.Temporal == BySpan {
+		return false
+	}
+	k := plan.Spec.K
+	return plan.SortFirst || plan.Spec.Algorithm == core.KOrderedTree && !plan.SampledK &&
+		!meta.Sorted && !(meta.KBound >= 0 && meta.KBound <= k) && k < meta.Tuples
+}
+
+// executor carries one query's pass.
+type executor struct {
+	q    *Query
+	plan Plan
+	meta RelationInfo
+	tr   *obs.QueryTrace
+}
+
+// add appends one aggregate's result to gr, restricted to the query's VALID
+// window (span grouping derives its own), and traces its counters.
+func (x *executor) add(gr *GroupResult, res *core.Result, s core.Stats) {
+	if x.q.Window != nil && x.q.Temporal != BySpan {
+		res.Clip(*x.q.Window)
+	}
+	if gr.Results == nil {
+		gr.Result, gr.Stats = res, s
+	}
+	gr.Results = append(gr.Results, res)
+	gr.AllStats = append(gr.AllStats, s)
+	traceStats(x.tr, s)
+}
+
+// pass reads the relation inside the execute span and produces every
+// group's results. Ungrouped Tuma makes two real scans of the filtered
+// source per aggregate, the cost the single-scan algorithms remove (§4.1).
+func (x *executor) pass(src tupleSource) ([]GroupResult, error) {
+	span := x.tr.StartSpan("execute")
+	if !x.plan.Tuma || x.q.GroupAttr != nil || hasDistinct(x.q) || x.q.Temporal == BySpan {
+		groups, err := x.scan(src, span)
+		span.End()
+		if err != nil {
+			return nil, err
+		}
+		return x.finish(groups)
+	}
+	defer span.End()
+	var gr GroupResult
+	fs := &filteredSource{q: x.q, src: src}
+	for i, a := range x.q.Aggs {
+		if i > 0 {
+			if err := fs.Reset(); err != nil {
+				return nil, err
+			}
+		}
+		fs.n = 0
+		res, err := core.Tuma(fs, aggregate.For(a.Kind))
+		if err != nil {
+			return nil, err
+		}
+		x.add(&gr, res, sinkTuples(x.tr, "tuma-two-pass", fs.n))
+	}
+	return []GroupResult{gr}, nil
+}
+
+// group is one attribute group's share of the scan: the page being filled,
+// a sink per aggregate, and every tuple when a sink needs the whole input.
+type group struct {
+	page, all, deduped []tuple.Tuple
+	collects           bool
+	sinks              []sink
+}
+
+// scan is the pass's one read of the relation, sorted first when the plan
+// needs ordered input: each tuple the query accepts joins its group's page,
+// and full pages go to the group's sinks.
+func (x *executor) scan(src tupleSource, span *obs.Span) (map[string]*group, error) {
+	groups := map[string]*group{}
+	if x.q.GroupAttr == nil {
+		// Even with no qualifying tuple: the one empty constant interval.
+		groups[""] = &group{}
+	}
+	if x.plan.UseIndex && x.meta.Index != nil {
+		// A resident index answers from its node partials alone.
+		return groups, nil
+	}
+	var in core.TupleSource = src
+	if needsSort(x.q, x.plan, x.meta) {
+		// The paper's sort-then-ktree strategy (§6.3/§7).
+		sortSpan := span.StartChild("sort")
+		sorted, release, err := src.sorted()
+		sortSpan.End()
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		in = sorted
+	}
+	fs := &filteredSource{q: x.q, src: in}
+	for {
+		t, ok, err := fs.Next()
+		if err != nil || !ok {
+			return groups, err
+		}
+		key := ""
+		if x.q.GroupAttr != nil {
+			key = t.Name
+		}
+		g := groups[key]
+		if g == nil {
+			g = &group{}
+			groups[key] = g
+		}
+		if g.page = append(g.page, t); len(g.page) == core.BatchPage {
+			if err := x.feed(g); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+// feed hands a group's page to each of its sinks, creating them on the
+// group's first page.
+func (x *executor) feed(g *group) error {
+	if g.sinks == nil {
+		for _, a := range x.q.Aggs {
+			s, err := x.newSink(g, a)
+			if err != nil {
+				return err
+			}
+			g.sinks = append(g.sinks, s)
+		}
+	}
+	if g.collects {
+		g.all = append(g.all, g.page...)
+	}
+	for _, s := range g.sinks {
+		if err := s.add(g.page); err != nil {
+			return err
+		}
+	}
+	g.page = g.page[:0]
+	return nil
+}
+
+// finish feeds each group its last page and collects its sinks' results,
+// in key order.
+func (x *executor) finish(groups map[string]*group) ([]GroupResult, error) {
+	span := x.tr.StartSpan("finish")
+	defer span.End()
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]GroupResult, len(keys))
+	for i, k := range keys {
+		g := groups[k]
+		if err := x.feed(g); err != nil {
+			return nil, err
+		}
+		out[i].Key = k
+		for _, s := range g.sinks {
+			res, stats, err := s.finish(span.Context())
+			if err != nil {
+				return nil, err
+			}
+			x.add(&out[i], res, stats)
+		}
+	}
+	return out, nil
+}
+
+// sink consumes one group's filtered tuples for one select-list aggregate,
+// a page at a time, then produces its result.
+type sink struct {
+	add    func(page []tuple.Tuple) error
+	finish func(ctx obs.TraceContext) (*core.Result, core.Stats, error)
+}
+
+// newSink returns g's sink for one aggregate: a streaming one where the
+// plan allows, otherwise one that evaluates the group's whole input —
+// buffered once per group, however many aggregates need it.
+func (x *executor) newSink(g *group, a AggSpec) (sink, error) {
+	f := aggregate.For(a.Kind)
+	if !a.Distinct && !x.plan.UseIndex && x.q.Temporal != BySpan && !x.plan.Tuma && !x.plan.Partitioned {
+		return x.stream(f)
+	}
+	g.collects = true
+	return sink{
+		add: func([]tuple.Tuple) error { return nil },
+		finish: func(ctx obs.TraceContext) (*core.Result, core.Stats, error) {
+			if !a.Distinct {
+				return x.whole(f, g.all, ctx)
+			}
+			// Duplicate elimination before processing (§7), once per group.
+			if g.deduped == nil {
+				g.deduped = relation.Deduplicate(g.all)
+			}
+			return x.whole(f, g.deduped, ctx)
+		},
+	}, nil
+}
+
+// stream returns the streaming sink for one aggregate: the AT snapshot
+// fold, or the plan's evaluator fed through its batch-ingestion path.
+func (x *executor) stream(f aggregate.Func) (sink, error) {
+	if x.plan.Snapshot {
+		// The value at one instant needs no constant intervals, only a
+		// running fold of the tuples valid then.
+		state, n := f.Zero(), 0
+		return sink{
+			add: func(page []tuple.Tuple) error {
+				for _, t := range page {
+					if t.Valid.Contains(*x.q.At) {
+						state = f.Add(state, t.Value)
+					}
+				}
+				n += len(page)
+				return nil
+			},
+			finish: func(obs.TraceContext) (*core.Result, core.Stats, error) {
+				row := core.Row{Interval: interval.At(*x.q.At), State: state}
+				return &core.Result{Func: f, Rows: []core.Row{row}}, sinkTuples(x.tr, "snapshot-scan", n), nil
+			},
+		}, nil
+	}
+	ev, err := core.NewObserved(x.plan.Spec, f, x.tr.Sink())
+	if err != nil {
+		return sink{}, err
+	}
+	return sink{add: ev.AddBatch, finish: func(ctx obs.TraceContext) (*core.Result, core.Stats, error) {
+		// A sweep evaluator sorts and scans in Finish; its spans belong to
+		// the finish stage.
+		core.SetTraceContext(ev, ctx)
+		res, err := ev.Finish()
+		return res, ev.Stats(), err
+	}}, nil
+}
+
+// whole evaluates one aggregate over a group's whole filtered input.
+func (x *executor) whole(f aggregate.Func, ts []tuple.Tuple, ctx obs.TraceContext) (*core.Result, core.Stats, error) {
+	switch {
+	case x.plan.UseIndex:
+		res, err := x.lookup(f, ts, ctx)
+		return res, core.Stats{}, err
+	case x.q.Temporal == BySpan:
+		res, err := executeSpan(x.q, f, ts)
+		return res, core.Stats{}, err
+	case x.plan.Tuma:
+		res, err := core.Tuma(core.NewSliceSource(ts), f)
+		return res, sinkTuples(x.tr, "tuma-two-pass", 2*len(ts)), err
+	case x.plan.Partitioned:
+		// The limited-main-memory evaluation (§5.1/§7). Decomposable
+		// aggregates sweep each shard; MIN/MAX keeps the aggregation tree,
+		// whose cost does not depend on overlap depth.
+		res, stats, err := core.EvaluatePartitionedTuples(f, ts, core.PartitionOptions{
+			Boundaries: partitionBoundaries(ts, x.plan.Partitions),
+			Parallel:   x.plan.Partitions,
+			Sink:       x.tr.Sink(),
+			Trace:      ctx,
+			Sweep:      f.Kind().Decomposable(),
+		})
+		return res, stats, err
+	}
+	// DISTINCT under a streaming strategy.
+	s, err := x.stream(f)
+	if err == nil {
+		err = s.add(ts)
+	}
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return s.finish(ctx)
+}
+
+// lookup answers one aggregate of an index plan from node partials alone:
+// the AT instant, the VALID window or [0, ∞], with rows bit-identical to
+// the evaluators'. With no resident index, the first lookup builds one over
+// ts — eligibility makes it the whole window-filtered relation — and the
+// query's other aggregates reuse it.
+func (x *executor) lookup(f aggregate.Func, ts []tuple.Tuple, ctx obs.TraceContext) (*core.Result, error) {
+	if x.meta.Index == nil {
+		span := ctx.StartChild("index-build")
+		idx, err := core.NewIntervalIndex(ts)
+		span.End()
+		if err != nil {
+			return nil, err
+		}
+		idx.SetSink(x.tr.Sink())
+		x.meta.Index = idx
+	}
+	window := interval.Universe()
+	if x.q.At != nil {
+		window = interval.At(*x.q.At)
+	} else if x.q.Window != nil {
+		window = *x.q.Window
+	}
+	span := ctx.StartChild(core.IndexLookupAlg)
+	defer span.End()
+	res, err := x.meta.Index.Range(f, window)
+	if err != nil {
+		return nil, err
+	}
+	span.SetAttr("rows", strconv.Itoa(len(res.Rows)))
+	return res, nil
 }
 
 // traceStats folds one evaluator's final counters into the trace.
@@ -295,143 +529,17 @@ func traceStats(tr *obs.QueryTrace, s core.Stats) {
 
 // sinkTuples publishes tuple counts for the evaluator-less strategies
 // (snapshot scans and Tuma's two-pass baseline), which bypass core's own
-// sink instrumentation.
-func sinkTuples(tr *obs.QueryTrace, algorithm string, n int) {
+// sink instrumentation, and returns them as the strategy's stats.
+func sinkTuples(tr *obs.QueryTrace, algorithm string, n int) core.Stats {
 	if s := tr.Sink(); s != nil {
 		s.Evaluator(algorithm).TuplesProcessed(n)
 	}
-}
-
-// indexLookup answers one aggregate of an index-served plan: the point
-// lookup for AT, the clipped window partition for VALID OVERLAPS, the full
-// [0, ∞] result otherwise. Rows are bit-identical to the evaluator paths'.
-func indexLookup(idx *core.IntervalIndex, q *Query, f aggregate.Func, tr *obs.QueryTrace) (*core.Result, error) {
-	span := tr.StartSpan(core.IndexLookupAlg)
-	defer span.End()
-	var (
-		res *core.Result
-		err error
-	)
-	switch {
-	case q.At != nil:
-		res, err = idx.At(f, *q.At)
-	case q.Window != nil:
-		res, err = idx.Range(f, *q.Window)
-	default:
-		res, err = idx.Result(f)
-	}
-	if err != nil {
-		return nil, err
-	}
-	span.SetAttr("rows", strconv.Itoa(len(res.Rows)))
-	return res, nil
-}
-
-// executeIndexOnly serves an entire index-eligible query from a resident
-// index: no scan, no materialized relation, one lookup per select-list
-// aggregate. The caller has already verified plan.UseIndex and a non-nil
-// index.
-func executeIndexOnly(q *Query, plan Plan, idx *core.IntervalIndex, tr *obs.QueryTrace) (*QueryResult, error) {
-	execSpan := tr.StartSpan("execute")
-	gr := GroupResult{}
-	for _, a := range q.Aggs {
-		res, err := indexLookup(idx, q, aggregate.For(a.Kind), tr)
-		if err != nil {
-			execSpan.End()
-			return nil, err
-		}
-		gr.Results = append(gr.Results, res)
-		gr.AllStats = append(gr.AllStats, core.Stats{})
-	}
-	execSpan.End()
-	gr.Result = gr.Results[0]
-	gr.Stats = gr.AllStats[0]
-	tr.SetGroups(1)
-	qr := &QueryResult{Query: q, Plan: plan, Groups: []GroupResult{gr}}
-	if q.Explain == ExplainAnalyze {
-		qr.Explain = RenderExplain(qr, tr)
-	}
-	return qr, nil
-}
-
-// snapshotResult folds the tuples valid at the instant into a single-row
-// result covering [at, at].
-func snapshotResult(f aggregate.Func, ts []tuple.Tuple, at interval.Time) *core.Result {
-	state := f.Zero()
-	for _, t := range ts {
-		if t.Valid.Contains(at) {
-			state = f.Add(state, t.Value)
-		}
-	}
-	return &core.Result{Func: f, Rows: []core.Row{{
-		Interval: interval.At(at),
-		State:    state,
-	}}}
-}
-
-func executeInstant(plan Plan, meta RelationInfo, f aggregate.Func, ts []tuple.Tuple, tr *obs.QueryTrace, ctx obs.TraceContext) (*core.Result, core.Stats, error) {
-	if plan.Tuma {
-		res, err := core.Tuma(core.NewSliceSource(ts), f)
-		sinkTuples(tr, "tuma-two-pass", 2*len(ts))
-		return res, core.Stats{Tuples: 2 * len(ts)}, err
-	}
-	if plan.Partitioned {
-		return executePartitioned(plan, f, ts, tr, ctx)
-	}
-	input := ts
-	needSorted := plan.SortFirst ||
-		(plan.Spec.Algorithm == core.KOrderedTree && meta.KBound < 0 && plan.Spec.K <= 1)
-	if needSorted && !sort.SliceIsSorted(ts, func(i, j int) bool { return ts[i].Less(ts[j]) }) {
-		// Sorting is also required when the plan assumes order the filter
-		// may have preserved but grouping cannot guarantee; sorting a copy
-		// keeps the caller's relation untouched.
-		input = append([]tuple.Tuple(nil), ts...)
-		sort.SliceStable(input, func(i, j int) bool { return input[i].Less(input[j]) })
-	}
-	res, stats, err := core.RunTraced(plan.Spec, f, input, tr.Sink(), ctx)
-	if err != nil && plan.SampledK {
-		// The sampled disorder bound proved too low and the k-ordered tree
-		// rejected a tuple. Pay the sort the estimate tried to avoid and
-		// rerun at k=1.
-		input = append([]tuple.Tuple(nil), ts...)
-		sort.SliceStable(input, func(i, j int) bool { return input[i].Less(input[j]) })
-		res, stats, err = core.RunTraced(core.Spec{Algorithm: core.KOrderedTree, K: 1}, f, input, tr.Sink(), ctx)
-	}
-	return res, stats, err
+	return core.Stats{Tuples: n}
 }
 
 // estimateSeed makes plan-time k-orderedness sampling deterministic, so the
 // same query over the same relation always gets the same plan.
 const estimateSeed = 0x5eed
-
-// executePartitioned runs the limited-main-memory evaluation and consumes
-// the streaming ordered merge: each partition's coalesced rows are appended
-// to the result the moment that shard (and its predecessors) finish, so the
-// query path never waits on a whole-evaluation barrier.
-func executePartitioned(plan Plan, f aggregate.Func, ts []tuple.Tuple, tr *obs.QueryTrace, ctx obs.TraceContext) (*core.Result, core.Stats, error) {
-	opts := core.PartitionOptions{
-		Boundaries: partitionBoundaries(ts, plan.Partitions),
-		Parallel:   plan.Partitions,
-		Sink:       tr.Sink(),
-		Trace:      ctx,
-		// Decomposable aggregates sweep each shard; MIN/MAX keeps the
-		// aggregation tree, whose cost does not depend on overlap depth.
-		Sweep: f.Kind().Decomposable(),
-	}
-	st, err := core.EvaluatePartitionedStream(f, core.NewSliceSource(ts), opts)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	res := &core.Result{Func: f}
-	for chunk := range st.Chunks() {
-		res.Rows = append(res.Rows, chunk.Rows...)
-	}
-	stats, err := st.Wait()
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return res, stats, nil
-}
 
 // partitionBoundaries derives uniform cut points from the tuples' finite
 // lifespan. Open-ended tuples do not extend it — they are clipped into the

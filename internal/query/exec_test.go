@@ -7,6 +7,7 @@ import (
 	"tempagg/internal/core"
 	"tempagg/internal/interval"
 	"tempagg/internal/relation"
+	"tempagg/internal/workload"
 )
 
 func execute(t *testing.T, sql string, rel *relation.Relation) *QueryResult {
@@ -186,5 +187,32 @@ func TestExecuteHonoursExplicitInfo(t *testing.T) {
 	}
 	if err := qr.Groups[0].Result.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSampledKMissRetriesSorted: a plan that trusts a sampled disorder
+// bound the relation breaks reruns its pass over the sorted relation at
+// k=1, returning the default plan's rows.
+func TestSampledKMissRetriesSorted(t *testing.T) {
+	rel, err := workload.Generate(workload.Config{Tuples: 2000, Seed: 58})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.Name = "R"
+	info := &RelationInfo{Tuples: rel.Len(), KBound: -1, SampledK: 1,
+		Cost: CostModel{MemoryByte: 1e-6, PageIO: 1000}}
+	got, err := Run("SELECT MAX(Salary) FROM R", rel, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Plan.SampledK || got.Plan.SortFirst {
+		t.Fatalf("plan %v does not gamble on the sampled bound", got.Plan)
+	}
+	want, err := Run("SELECT MAX(Salary) FROM R", rel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Groups[0].Result.Equal(want.Groups[0].Result) {
+		t.Fatal("retried pass differs from the default plan")
 	}
 }

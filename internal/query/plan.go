@@ -201,7 +201,8 @@ func resolveUsing(q *Query) (Plan, error) {
 // PlanQuery chooses the evaluation strategy for an instant-grouped query,
 // implementing the optimizer reasoning of §6.3:
 //
-//   - An explicit USING clause always wins.
+//   - An AT query reduces to a snapshot scan unless an index serves it.
+//   - An explicit USING clause otherwise wins.
 //   - With very few expected constant intervals the linked list is adequate
 //     and cheapest in space.
 //   - A sorted relation takes the k-ordered tree with k=1.
@@ -215,6 +216,13 @@ func resolveUsing(q *Query) (Plan, error) {
 //     exceeds the budget, in which case the executor sorts first and runs
 //     the k-ordered tree with k=1 (memory is then dearer than the sort).
 func PlanQuery(q *Query, info RelationInfo) (Plan, error) {
+	if q.At != nil && q.Using != "INDEX" && !(q.Using == "" && info.Index != nil && IndexEligible(q)) {
+		// Snapshot reduction: the value at one instant needs no constant
+		// intervals — a single aggregation pass over the qualifying tuples.
+		// With a resident index (or USING INDEX) the point lookup is one
+		// O(log n) root-path merge instead, planned below like any query.
+		return Plan{Snapshot: true, Reason: fmt.Sprintf("snapshot at %d: direct aggregation, no constant intervals", *q.At)}, nil
+	}
 	if q.Using != "" {
 		plan, err := resolveUsing(q)
 		if err != nil {
@@ -247,12 +255,17 @@ func IndexEligible(q *Query) bool {
 	if len(q.Where) > 0 || q.GroupAttr != nil || q.Live || q.Temporal == BySpan {
 		return false
 	}
+	return !hasDistinct(q) && len(q.Aggs) > 0
+}
+
+// hasDistinct reports whether any select-list aggregate is DISTINCT.
+func hasDistinct(q *Query) bool {
 	for _, a := range q.Aggs {
 		if a.Distinct {
-			return false
+			return true
 		}
 	}
-	return len(q.Aggs) > 0
+	return false
 }
 
 // planQualitative applies the qualitative §6.3 rules (no cost model).

@@ -116,7 +116,8 @@ func TestExecuteFileTumaTwoScans(t *testing.T) {
 	}
 	defer sc.Close()
 	q := mustParse(t, "SELECT COUNT(Name) FROM Employed USING TUMA")
-	if _, err := streamTuma(q, Plan{Tuma: true}, sc, nil); err != nil {
+	meta := RelationInfo{Tuples: sc.Count(), KBound: -1}
+	if _, err := executeSource(q, fileSource{Scanner: sc, path: path}, meta, nil); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Passes() != 2 {
@@ -137,13 +138,13 @@ func TestExecuteFileMaterializesWhenNeeded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// DISTINCT forces materialization but must still work.
+	// DISTINCT buffers each group's filtered tuples but must still work.
 	qr = runFile(t, "SELECT COUNT(DISTINCT Name) FROM R", path)
 	if err := qr.Groups[0].Result.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Tuma + GROUP BY falls back to materialization.
+	// Tuma + GROUP BY buffers each group and runs Tuma over it.
 	qr = runFile(t, "SELECT Name, COUNT(Name) FROM R GROUP BY Name USING TUMA", path)
 	if len(qr.Groups) == 0 {
 		t.Fatal("no groups")

@@ -13,9 +13,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -162,10 +164,11 @@ func (s *Server) execute(sql string) Response {
 	return Response{OK: true, Result: qr}
 }
 
-// Client is a minimal synchronous client for the line protocol.
+// Client is a minimal synchronous client for the line protocol. Reply lines
+// have no length cap: a whole-history result can run to tens of megabytes.
 type Client struct {
 	conn net.Conn
-	sc   *bufio.Scanner
+	r    *bufio.Reader
 }
 
 // Dial connects to a server.
@@ -174,30 +177,20 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 16<<20)
-	return &Client{conn: conn, sc: sc}, nil
+	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // Query sends one query and decodes the reply. Protocol or I/O failures
 // return an error; a server-side query error comes back in Response.Error.
 func (c *Client) Query(sql string) (Response, error) {
-	if strings.ContainsAny(sql, "\n\r") {
-		return Response{}, errors.New("server: query must be a single line")
-	}
-	if _, err := fmt.Fprintln(c.conn, sql); err != nil {
-		return Response{}, fmt.Errorf("server: send: %w", err)
-	}
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return Response{}, fmt.Errorf("server: receive: %w", err)
-		}
-		return Response{}, errors.New("server: connection closed")
+	line, err := c.QueryRaw(sql)
+	if err != nil {
+		return Response{}, err
 	}
 	// The result decodes into generic JSON on the client side; callers
 	// needing typed access use the Raw field of the decoded envelope.
 	var resp rawResponse
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := json.Unmarshal(line, &resp); err != nil {
 		return Response{}, fmt.Errorf("server: bad reply: %w", err)
 	}
 	return Response{OK: resp.OK, Error: resp.Error}, nil
@@ -211,13 +204,14 @@ func (c *Client) QueryRaw(sql string) ([]byte, error) {
 	if _, err := fmt.Fprintln(c.conn, sql); err != nil {
 		return nil, fmt.Errorf("server: send: %w", err)
 	}
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return nil, fmt.Errorf("server: receive: %w", err)
-		}
+	line, err := c.r.ReadBytes('\n')
+	switch {
+	case err == io.EOF:
 		return nil, errors.New("server: connection closed")
+	case err != nil:
+		return nil, fmt.Errorf("server: receive: %w", err)
 	}
-	return append([]byte(nil), c.sc.Bytes()...), nil
+	return bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r")), nil
 }
 
 // Close terminates the session.

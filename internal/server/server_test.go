@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -192,5 +194,46 @@ func TestClientRejectsMultilineQuery(t *testing.T) {
 	}
 	if _, err := c.QueryRaw("a\rb"); err == nil {
 		t.Fatal("carriage return must be rejected client-side")
+	}
+}
+
+// TestClientReadsReplyBeyond16MiB: a reply line has no size cap — a
+// whole-history result over a large relation runs past 16 MiB.
+func TestClientReadsReplyBeyond16MiB(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	reply := []byte(`{"ok":true,"result":"` + strings.Repeat("x", 17<<20) + `"}`)
+	served := make(chan error, 1)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+			served <- err
+			return
+		}
+		_, err = conn.Write(append(reply, '\n'))
+		served <- err
+	}()
+	c, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.QueryRaw("SELECT COUNT(Name) FROM emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, reply) {
+		t.Fatalf("reply of %d bytes came back as %d bytes", len(reply), len(got))
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }
