@@ -130,6 +130,15 @@ func VerifyClaims(size int, seed int64) ([]Claim, error) {
 		treeT80 < 3*treeT && treeT < 3*treeT80,
 		"ll=0%%: %.4gs, ll=80%%: %.4gs", treeT, treeT80)
 
+	// S33: the columnar sweep beats the aggregation tree on random input.
+	sweepT, _, err := timeOf(core.Spec{Algorithm: core.SweepEval}, f, random0)
+	if err != nil {
+		return nil, err
+	}
+	add("sweep-beats-tree",
+		"the columnar event sweep beats the aggregation tree on random input",
+		sweepT < treeT, "sweep %.4gs vs tree %.4gs (×%.1f)", sweepT, treeT, treeT/sweepT)
+
 	// Figure 7: ordered relations.
 	k1T, k1Stats, err := timeOf(k1, f, sorted0)
 	if err != nil {

@@ -4,6 +4,10 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"tempagg/internal/aggregate"
+	"tempagg/internal/core"
+	"tempagg/internal/obs"
 )
 
 // handBaseline is a BENCH_PR<N>.json-shaped report: before/after points,
@@ -182,23 +186,50 @@ func TestRegressionGateSkipsNonOverlapAndNonSeconds(t *testing.T) {
 	}
 }
 
-// TestSweepFigureShape pins the PR 5 experiment: the sweep must beat the
-// aggregation tree on random input at every measured size (the acceptance
-// criterion of BENCH_PR5.json, scaled down).
+// TestSweepFigureShape pins the work behind the sweep figure (S33) on
+// its own seeded inputs, in counters rather than clocks: the sweep turns
+// n tuples into 2n events, holds nothing but their 2n slots (no tree
+// node), and sorts them in a bounded number of radix passes, while the
+// aggregation tree allocates at least one node per tuple. The timing
+// claim, the sweep beating the tree at 8K tuples, is `sweep-beats-tree`
+// in VerifyClaims.
 func TestSweepFigureShape(t *testing.T) {
-	fig, err := SweepFigure(smallOpts())
-	if err != nil {
-		t.Fatal(err)
+	opts := smallOpts()
+	f := aggregate.For(opts.Agg)
+	counter := func(m *obs.Metrics, name, alg string) int64 {
+		return m.Registry().CounterVec(name, "", "algorithm").With(alg).Value()
 	}
-	if len(fig.Series) != 4 {
-		t.Fatalf("%d series", len(fig.Series))
-	}
-	tree := fig.Series[0]
-	sweep := fig.Series[1]
-	for i := range tree.Points {
-		if sweep.Points[i].Value >= tree.Points[i].Value {
-			t.Errorf("size %d: sweep %.4gs not faster than tree %.4gs",
-				tree.Points[i].Size, sweep.Points[i].Value, tree.Points[i].Value)
+	for _, size := range opts.Sizes {
+		for _, seed := range opts.Seeds {
+			rel, err := genRandom(0)(size, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweep, tree := obs.NewMetrics(obs.NewRegistry()), obs.NewMetrics(obs.NewRegistry())
+			if _, _, err := core.RunObserved(core.Spec{Algorithm: core.SweepEval}, f, rel.Tuples, sweep); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := core.RunObserved(core.Spec{Algorithm: core.AggregationTree}, f, rel.Tuples, tree); err != nil {
+				t.Fatal(err)
+			}
+			if got := counter(sweep, obs.MetricSweepEvents, "sweep"); got != int64(2*size) {
+				t.Errorf("size %d: sweep saw %d events, want %d", size, got, 2*size)
+			}
+			// Two event columns of 64-bit keys, at most 8 byte digits each.
+			if got := counter(sweep, obs.MetricSweepRadix, "sweep"); got < 1 || got > 16 {
+				t.Errorf("size %d: sweep ran %d radix passes, want 1..16", size, got)
+			}
+			// Its only structure is the event columns, one slot per event:
+			// no tree node, no fallback to the tree.
+			if got := counter(sweep, obs.MetricNodesAllocated, "sweep"); got != int64(2*size) {
+				t.Errorf("size %d: sweep allocated %d slots, want its %d events", size, got, 2*size)
+			}
+			if got := counter(sweep, obs.MetricSweepFallbacks, "sweep"); got != 0 {
+				t.Errorf("size %d: sweep fell back to the tree %d times", size, got)
+			}
+			if got := counter(tree, obs.MetricNodesAllocated, "aggregation-tree"); got < int64(size) {
+				t.Errorf("size %d: aggregation tree allocated %d nodes, want at least %d", size, got, size)
+			}
 		}
 	}
 }

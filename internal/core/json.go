@@ -1,24 +1,12 @@
 package core
 
 import (
-	"encoding/json"
+	"math"
 
+	"tempagg/internal/aggregate"
 	"tempagg/internal/interval"
+	"tempagg/internal/jsonenc"
 )
-
-// jsonRow is the wire form of one constant interval. End is a string so ∞
-// can be represented; Value is null for empty non-COUNT groups.
-type jsonRow struct {
-	Start int64    `json:"start"`
-	End   string   `json:"end"`
-	Value *float64 `json:"value"`
-	Count int64    `json:"tuples"`
-}
-
-type jsonResult struct {
-	Aggregate string    `json:"aggregate"`
-	Rows      []jsonRow `json:"rows"`
-}
 
 // MarshalJSON encodes the result as
 //
@@ -27,22 +15,53 @@ type jsonResult struct {
 // with "forever" as the end of an open-ended row and a null value for empty
 // groups under non-COUNT aggregates.
 func (r *Result) MarshalJSON() ([]byte, error) {
-	out := jsonResult{
-		Aggregate: r.Func.Kind().String(),
-		Rows:      make([]jsonRow, 0, len(r.Rows)),
-	}
+	var e jsonenc.Encoder
+	r.EncodeJSON(&e)
+	return e.Buf, e.Err()
+}
+
+// EncodeJSON appends the MarshalJSON form of r to e, offering e a chunk
+// boundary after every row.
+func (r *Result) EncodeJSON(e *jsonenc.Encoder) {
+	e.Raw(`{"aggregate":`)
+	e.String(r.Func.Kind().String())
+	e.Raw(`,"rows":[`)
 	for i, row := range r.Rows {
-		jr := jsonRow{Start: row.Interval.Start, Count: row.State.Count()}
+		if i > 0 {
+			e.Raw(",")
+		}
+		e.Raw(`{"start":`)
+		e.Int(row.Interval.Start)
 		if row.Interval.End == interval.Forever {
-			jr.End = "forever"
+			e.Raw(`,"end":"forever","value":`)
 		} else {
-			jr.End = interval.FormatTime(row.Interval.End)
+			e.Raw(`,"end":"`)
+			e.Int(row.Interval.End)
+			e.Raw(`","value":`)
 		}
-		if v := r.Value(i); !v.Null {
-			f := v.Float
-			jr.Value = &f
-		}
-		out.Rows = append(out.Rows, jr)
+		encodeValue(e, r.Value(i))
+		e.Raw(`,"tuples":`)
+		e.Int(row.State.Count())
+		e.Raw("}")
+		e.Chunk()
 	}
-	return json.Marshal(out)
+	e.Raw("]}")
+}
+
+// maxExactInt bounds the integers a float64 holds exactly; within it the
+// shortest float digits of an integral value are its integer digits.
+const maxExactInt = 1 << 53
+
+// encodeValue writes v as encoding/json writes its Float: integral values
+// through the integer formatter, the rest (AVG fractions, -0, integers past
+// 2^53) through the float formatter.
+func encodeValue(e *jsonenc.Encoder, v aggregate.Value) {
+	switch {
+	case v.Null:
+		e.Raw("null")
+	case math.Float64bits(v.Float) == math.Float64bits(float64(v.Int)) && -maxExactInt <= v.Int && v.Int <= maxExactInt:
+		e.Int(v.Int)
+	default:
+		e.Float(v.Float)
+	}
 }

@@ -82,6 +82,8 @@ const (
 	MetricQueryDuration   = "tempagg_query_duration_seconds"
 	MetricSlowQueries     = "tempagg_slow_queries_total"
 	MetricSlowLogErrors   = "tempagg_slowlog_write_errors_total"
+	MetricResponseRows    = "tempagg_response_rows_total"
+	MetricResponseBytes   = "tempagg_response_bytes_total"
 )
 
 // Interval-index and result-cache metric names (S37). Index metrics carry
@@ -141,6 +143,8 @@ type Metrics struct {
 	duration    *HistogramVec // by algorithm
 	slow        *Counter
 	slowErrs    *Counter
+	respRows    *Counter
+	respBytes   *Counter
 
 	idxNodes   *GaugeVec   // by algorithm, max over builds
 	idxLookups *CounterVec // by algorithm
@@ -200,6 +204,10 @@ func NewMetrics(reg *Registry) *Metrics {
 			"Queries slower than the slow-query threshold."),
 		slowErrs: reg.Counter(MetricSlowLogErrors,
 			"Slow-query log lines that failed to write."),
+		respRows: reg.Counter(MetricResponseRows,
+			"Constant-interval rows the server wrote in replies."),
+		respBytes: reg.Counter(MetricResponseBytes,
+			"Reply bytes the server wrote, trailing newlines included."),
 		idxNodes: reg.GaugeVec(MetricIndexNodes,
 			"High-water mark of partial-state node slots materialized by one interval-index build (S37).", "algorithm"),
 		idxLookups: reg.CounterVec(MetricIndexLookups,
@@ -282,6 +290,16 @@ func (m *Metrics) RecordSlow(writeErr error) {
 	if writeErr != nil {
 		m.slowErrs.Inc()
 	}
+}
+
+// RecordResponse counts one reply the server wrote: its result rows and
+// its bytes on the wire.
+func (m *Metrics) RecordResponse(rows int, bytes int64) {
+	if m == nil {
+		return
+	}
+	m.respRows.Add(int64(rows))
+	m.respBytes.Add(bytes)
 }
 
 // ResultCacheHit counts one range query served from the result cache.

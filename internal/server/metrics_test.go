@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -46,7 +47,7 @@ func startObservedServer(t *testing.T) (*catalog.Catalog, *obs.Observer, string,
 		if err := srv.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
-		if err := <-done; err != nil {
+		if err := <-done; err != nil && !errors.Is(err, ErrClosed) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
@@ -285,5 +286,57 @@ func TestAdminMuxNilObserver(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s with nil observer = %d, want 404", ep, resp.StatusCode)
 		}
+	}
+}
+
+// TestMetricsResponseCounters: the reply counters equal what the client
+// read — every line's bytes with its newline, and every result row.
+func TestMetricsResponseCounters(t *testing.T) {
+	_, _, addr, admin := startObservedServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var bytes, rows int64
+	for _, sql := range []string{
+		"SELECT COUNT(Name), AVG(Salary) FROM Employed",
+		"SELECT Name, MIN(Salary) FROM Employed WHERE Salary < 50000 GROUP BY Name",
+		"EXPLAIN SELECT SUM(Salary) FROM Employed",
+		"SELECT COUNT(Name) FROM Nope",
+		"INGEST feed a 1 2 FOREVER",
+	} {
+		line, err := c.QueryRaw(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes += int64(len(line)) + 1
+		var reply struct {
+			Result struct {
+				Groups []struct {
+					Results []struct {
+						Rows []json.RawMessage `json:"rows"`
+					} `json:"results"`
+				} `json:"groups"`
+			} `json:"result"`
+		}
+		if err := json.Unmarshal(line, &reply); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for _, g := range reply.Result.Groups {
+			for _, r := range g.Results {
+				rows += int64(len(r.Rows))
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no rows came back")
+	}
+	body := scrape(t, admin.URL+"/metrics")
+	if got := metricValue(t, body, obs.MetricResponseBytes); got != bytes {
+		t.Errorf("%s = %d, client read %d bytes", obs.MetricResponseBytes, got, bytes)
+	}
+	if got := metricValue(t, body, obs.MetricResponseRows); got != rows {
+		t.Errorf("%s = %d, client read %d rows", obs.MetricResponseRows, got, rows)
 	}
 }

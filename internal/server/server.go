@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"tempagg/internal/catalog"
+	"tempagg/internal/jsonenc"
 	"tempagg/internal/obs"
 	"tempagg/internal/query"
 	"tempagg/internal/relation"
@@ -37,6 +38,50 @@ type Response struct {
 	Error  string             `json:"error,omitempty"`
 	Result *query.QueryResult `json:"result,omitempty"`
 }
+
+// MarshalJSON encodes the envelope as {"ok":...,"error":...,"result":...},
+// leaving out an empty error and a nil result: the bytes encoding/json
+// writes for the struct tags above.
+func (r Response) MarshalJSON() ([]byte, error) {
+	var e jsonenc.Encoder
+	r.encode(&e)
+	return e.Buf, e.Err()
+}
+
+func (r Response) encode(e *jsonenc.Encoder) {
+	if r.OK {
+		e.Raw(`{"ok":true`)
+	} else {
+		e.Raw(`{"ok":false`)
+	}
+	if r.Error != "" {
+		e.Raw(`,"error":`)
+		e.String(r.Error)
+	}
+	if r.Result != nil {
+		e.Raw(`,"result":`)
+		r.Result.EncodeJSON(e)
+	}
+	e.Raw("}")
+}
+
+// rows counts the result rows in the reply.
+func (r Response) rows() int {
+	n := 0
+	if r.Result != nil {
+		for _, g := range r.Result.Groups {
+			for _, res := range g.Results {
+				if res != nil {
+					n += len(res.Rows)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// ErrClosed is Serve's error on a server that was already closed.
+var ErrClosed = errors.New("server: already closed")
 
 // Server serves queries against one catalog.
 type Server struct {
@@ -72,12 +117,16 @@ func New(cat *catalog.Catalog, opts ...Option) *Server {
 func (s *Server) Observer() *obs.Observer { return s.obs }
 
 // Serve accepts connections on lis until Close. It returns nil after a
-// clean shutdown.
+// clean shutdown; on a server already closed it closes lis and returns
+// ErrClosed.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return errors.New("server: already closed")
+		// A dial the kernel already accepted would otherwise wait forever
+		// for a reply.
+		lis.Close()
+		return ErrClosed
 	}
 	s.lis = lis
 	s.mu.Unlock()
@@ -136,7 +185,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), MaxQueryBytes)
-	enc := json.NewEncoder(conn)
+	enc := jsonenc.NewEncoder(conn)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -145,11 +194,24 @@ func (s *Server) handle(conn net.Conn) {
 		if strings.EqualFold(line, "quit") {
 			return
 		}
-		resp := s.execute(line)
-		if err := enc.Encode(resp); err != nil {
-			return // client went away
+		if err := s.reply(enc, s.execute(line)); err != nil {
+			return // client went away, or the reply has no JSON form
 		}
 	}
+}
+
+// reply writes resp as one JSON line, in chunks of enc's buffer: a
+// multi-megabyte result is never held whole. Before the last chunk leaves,
+// so that a client holding the reply sees it counted, it counts the
+// reply's rows and bytes on the observer.
+func (s *Server) reply(enc *jsonenc.Encoder, resp Response) error {
+	before := enc.Written()
+	resp.encode(enc)
+	enc.Raw("\n")
+	if enc.Err() == nil && s.obs != nil {
+		s.obs.Metrics.RecordResponse(resp.rows(), enc.Written()-before+int64(len(enc.Buf)))
+	}
+	return enc.Flush()
 }
 
 func (s *Server) execute(sql string) Response {

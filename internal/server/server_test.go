@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tempagg/internal/catalog"
 	"tempagg/internal/relation"
@@ -38,7 +41,9 @@ func startServer(t *testing.T) (*Server, string) {
 		if err := srv.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
-		if err := <-done; err != nil {
+		// Close may win the race with the goroutine above; Serve then
+		// refuses the listener, which it closes.
+		if err := <-done; err != nil && !errors.Is(err, ErrClosed) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
@@ -179,6 +184,40 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal("double close must be fine")
+	}
+}
+
+// TestServeAfterCloseClosesListener: Serve on a closed server refuses the
+// listener and closes it, so a dial the kernel had already accepted ends
+// instead of waiting for a reply nobody sends.
+func TestServeAfterCloseClosesListener(t *testing.T) {
+	srv := New(nil)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	pending, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pending.Close()
+	if err := srv.Serve(lis); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Serve after Close = %v, want ErrClosed", err)
+	}
+	// A deadline turns the old hang into a failure instead of a stuck test.
+	if err := pending.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pending.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
+		t.Fatalf("read on a connection pending at the refused listener = %v, want EOF or reset", err)
+	}
+	if c, err := net.Dial("tcp", lis.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("dial to the refused listener succeeded")
 	}
 }
 
