@@ -67,12 +67,14 @@ obs-smoke:
 	$(GO) test ./cmd/tempaggd -run TestObsSmoke -count=1 -v
 
 # A short fuzz pass over the corpus-seeded targets (query layer, the reply
-# encoder against encoding/json, and the core GC/arena/live-snapshot
-# invariants); long campaigns use the same targets with a bigger FUZZTIME.
+# encoder against encoding/json, relation images against the scanner, and
+# the core GC/arena/live-snapshot invariants); long campaigns use the same
+# targets with a bigger FUZZTIME.
 fuzz-smoke:
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzExecute -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzEncodeMatchesJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/relation -run '^$$' -fuzz FuzzImageVsScanner -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzKTreeGCThreshold -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzArenaReuse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSweepVsReference -fuzztime $(FUZZTIME)

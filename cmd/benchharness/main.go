@@ -63,6 +63,19 @@ type jsonReport struct {
 	Experiments []bench.Figure `json:"experiments"`
 }
 
+// verifySize is the relation size for -verify: -max-size when given on
+// the command line, otherwise 0, which leaves VerifyClaims its own 8K
+// default — the sweep's 64K default would run the linked list for minutes.
+func verifySize(fs *flag.FlagSet, maxSize int) int {
+	size := 0
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "max-size" {
+			size = maxSize
+		}
+	})
+	return size
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchharness", flag.ContinueOnError)
 	var names []string
@@ -96,15 +109,19 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *verify {
-		claims, err := bench.VerifyClaims(*maxSize, 101)
+		claims, err := bench.VerifyClaims(verifySize(fs, *maxSize), 101)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, bench.FormatClaims(claims))
+		failed := 0
 		for _, c := range claims {
 			if !c.Passed {
-				return fmt.Errorf("%d claim(s) failed", 1)
+				failed++
 			}
+		}
+		if failed > 0 {
+			return fmt.Errorf("%d claim(s) failed", failed)
 		}
 		return nil
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"strings"
 	"testing"
 )
@@ -104,5 +105,28 @@ func TestHarnessErrors(t *testing.T) {
 	if err := run([]string{"-exp", "fig9", "-max-size", "1024", "-seeds", "1",
 		"-format", "bogus"}, &b); err == nil {
 		t.Error("unknown format must fail")
+	}
+}
+
+// TestVerifySize: -verify keeps VerifyClaims' own default size (0) unless
+// -max-size is on the command line, even when it repeats the default.
+func TestVerifySize(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-verify"}, 0},
+		{[]string{"-verify", "-max-size", "16384"}, 16384},
+		{[]string{"-max-size", "65536", "-verify"}, 65536},
+	} {
+		fs := flag.NewFlagSet("benchharness", flag.ContinueOnError)
+		maxSize := fs.Int("max-size", 1<<16, "")
+		fs.Bool("verify", false, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if got := verifySize(fs, *maxSize); got != tc.want {
+			t.Errorf("%v: verify size %d, want %d", tc.args, got, tc.want)
+		}
 	}
 }

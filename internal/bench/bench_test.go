@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"tempagg/internal/aggregate"
+	"tempagg/internal/core"
 	"tempagg/internal/obs"
+	"tempagg/internal/relation"
 )
 
 // smallOpts keeps experiment self-tests fast; the full sweep runs in
@@ -31,50 +34,106 @@ func TestOptionsSinkReceivesCounters(t *testing.T) {
 	}
 }
 
+// figureStats evaluates spec over the seeded inputs gen makes at every
+// smallOpts size — the inputs the figure's series time — and returns each
+// run's result and counters, in size order.
+func figureStats(t *testing.T, spec core.Spec, gen func(int, int64) (*relation.Relation, error)) ([]*core.Result, []core.Stats) {
+	t.Helper()
+	opts := smallOpts()
+	var results []*core.Result
+	var stats []core.Stats
+	for _, size := range opts.Sizes {
+		rel, err := gen(size, opts.Seeds[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := core.Run(spec, aggregate.For(opts.Agg), rel.Tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Tuples != size {
+			t.Fatalf("%v absorbed %d of %d tuples", spec.Algorithm, st.Tuples, size)
+		}
+		results, stats = append(results, res), append(stats, st)
+	}
+	return results, stats
+}
+
+// checkTimedFigure checks a timing figure's shape: every series has one
+// measured point per size. Which series is faster is a wall-clock claim,
+// checked by VerifyClaims (benchharness -verify), not here.
+func checkTimedFigure(t *testing.T, fig Figure, series int) {
+	t.Helper()
+	if len(fig.Series) != series {
+		t.Fatalf("%d series, want %d", len(fig.Series), series)
+	}
+	for _, s := range fig.Series {
+		if len(s.Points) != len(smallOpts().Sizes) {
+			t.Fatalf("series %s has %d points", s.Name, len(s.Points))
+		}
+		for _, p := range s.Points {
+			if !(p.Value > 0) {
+				t.Errorf("series %s size %d: time %v", s.Name, p.Size, p.Value)
+			}
+		}
+	}
+}
+
+// TestFigure6Shape pins the work behind Figure 6 on its seeded random
+// inputs, in counters: the list and the tree compute the same aggregate,
+// the tree holds about two nodes per list node (a start and an end split
+// per unique timestamp against the list's one), and neither structure
+// grows with the long-lived percentage. The timing claims are
+// fig6-tree-beats-list and fig6-tree-longlived-insensitive in VerifyClaims.
 func TestFigure6Shape(t *testing.T) {
 	fig, err := Figure6(smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 5 {
-		t.Fatalf("%d series", len(fig.Series))
-	}
-	// The tree must beat the list at every measured size (Figure 6's
-	// defining relationship).
-	list := fig.Series[0]
-	tree := fig.Series[2]
-	for i := range list.Points {
-		if tree.Points[i].Value >= list.Points[i].Value {
-			t.Errorf("size %d: tree %.4gs not faster than list %.4gs",
-				list.Points[i].Size, tree.Points[i].Value, list.Points[i].Value)
+	checkTimedFigure(t, fig, 5)
+	listRes, list := figureStats(t, core.Spec{Algorithm: core.LinkedList}, genRandom(0))
+	treeRes, tree := figureStats(t, core.Spec{Algorithm: core.AggregationTree}, genRandom(0))
+	_, tree80 := figureStats(t, core.Spec{Algorithm: core.AggregationTree}, genRandom(80))
+	for i, size := range smallOpts().Sizes {
+		if !listRes[i].Equal(treeRes[i]) {
+			t.Errorf("size %d: list and tree results differ", size)
+		}
+		if r := float64(tree[i].PeakNodes) / float64(list[i].PeakNodes); r < 1.5 || r > 2.5 {
+			t.Errorf("size %d: tree/list peak nodes %d/%d = %.2f, want about 2",
+				size, tree[i].PeakNodes, list[i].PeakNodes, r)
+		}
+		if r := float64(tree80[i].PeakNodes) / float64(tree[i].PeakNodes); r < 0.8 || r > 1.25 {
+			t.Errorf("size %d: tree peak nodes %d at 80%% long-lived vs %d at 0%%",
+				size, tree80[i].PeakNodes, tree[i].PeakNodes)
 		}
 	}
 }
 
+// TestFigure7Shape pins the work behind Figure 7 on its seeded sorted
+// inputs, in counters: every evaluator computes the same aggregate, and
+// the k-ordered tree at k=1 collects nodes as it goes, so it holds a small
+// fraction of what the list and the unbalanced tree keep. The timing claim
+// is fig7-ktree1-wins-sorted in VerifyClaims.
 func TestFigure7Shape(t *testing.T) {
 	fig, err := Figure7(smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 6 {
-		t.Fatalf("%d series", len(fig.Series))
-	}
-	byName := map[string]Series{}
-	for _, s := range fig.Series {
-		byName[s.Name] = s
-	}
-	// ktree k=1 must beat the linked list and the (sorted-input) tree.
-	k1 := byName["ktree sorted k=1"].Points
-	list := byName["linked-list"].Points
-	tree := byName["aggregation-tree (sorted)"].Points
-	last := len(k1) - 1
-	if k1[last].Value >= list[last].Value {
-		t.Errorf("ktree k=1 (%.4gs) not faster than linked list (%.4gs)",
-			k1[last].Value, list[last].Value)
-	}
-	if k1[last].Value >= tree[last].Value {
-		t.Errorf("ktree k=1 (%.4gs) not faster than sorted-input tree (%.4gs)",
-			k1[last].Value, tree[last].Value)
+	checkTimedFigure(t, fig, 6)
+	k1Res, k1 := figureStats(t, core.Spec{Algorithm: core.KOrderedTree, K: 1}, genSorted(0))
+	listRes, list := figureStats(t, core.Spec{Algorithm: core.LinkedList}, genSorted(0))
+	treeRes, tree := figureStats(t, core.Spec{Algorithm: core.AggregationTree}, genSorted(0))
+	for i, size := range smallOpts().Sizes {
+		if !k1Res[i].Equal(listRes[i]) || !k1Res[i].Equal(treeRes[i]) {
+			t.Errorf("size %d: ktree k=1, list and tree results differ", size)
+		}
+		if k1[i].Collected == 0 {
+			t.Errorf("size %d: ktree k=1 collected no node", size)
+		}
+		if 4*k1[i].PeakNodes >= list[i].PeakNodes || 4*k1[i].PeakNodes >= tree[i].PeakNodes {
+			t.Errorf("size %d: ktree k=1 peaks at %d nodes, list %d, tree %d",
+				size, k1[i].PeakNodes, list[i].PeakNodes, tree[i].PeakNodes)
+		}
 	}
 }
 
@@ -100,20 +159,26 @@ func TestFigure9MemoryShape(t *testing.T) {
 	}
 }
 
+// TestAblationBalancedShape pins the balanced-tree ablation on its seeded
+// sorted inputs, in counters: balancing changes the tree's depth, not its
+// contents, so both trees compute the same aggregate from the same number
+// of nodes. The timing claim is s7-balanced-tree in VerifyClaims.
 func TestAblationBalancedShape(t *testing.T) {
 	fig, err := AblationBalanced(smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]Series{}
-	for _, s := range fig.Series {
-		byName[s.Name] = s
-	}
-	last := len(smallOpts().Sizes) - 1
-	unb := byName["aggregation-tree (sorted)"].Points[last].Value
-	bal := byName["balanced-tree (sorted)"].Points[last].Value
-	if bal >= unb {
-		t.Errorf("balanced tree (%.4gs) not faster than unbalanced (%.4gs) on sorted input", bal, unb)
+	checkTimedFigure(t, fig, 5)
+	treeRes, tree := figureStats(t, core.Spec{Algorithm: core.AggregationTree}, genSorted(0))
+	balRes, bal := figureStats(t, core.Spec{Algorithm: core.BalancedTree}, genSorted(0))
+	for i, size := range smallOpts().Sizes {
+		if !treeRes[i].Equal(balRes[i]) {
+			t.Errorf("size %d: balanced and unbalanced results differ", size)
+		}
+		if bal[i].PeakNodes != tree[i].PeakNodes {
+			t.Errorf("size %d: balanced tree peaks at %d nodes, unbalanced at %d",
+				size, bal[i].PeakNodes, tree[i].PeakNodes)
+		}
 	}
 }
 
@@ -204,18 +269,33 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestVerifyClaimsAllPass runs the reproduction check at its default size:
+// every claim is measured, and every counter claim passes. Timed claims
+// compare wall clocks, which a loaded machine can invert, so their
+// verdicts are benchharness -verify's, not tier-1's.
 func TestVerifyClaimsAllPass(t *testing.T) {
-	claims, err := VerifyClaims(1<<13, 101)
+	claims, err := VerifyClaims(0, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(claims) < 8 {
 		t.Fatalf("only %d claims checked", len(claims))
 	}
+	counted := 0
 	for _, c := range claims {
+		if c.Detail == "" {
+			t.Errorf("claim %s has no measurement", c.ID)
+		}
+		if c.Timed {
+			continue
+		}
+		counted++
 		if !c.Passed {
 			t.Errorf("claim failed: %s", c)
 		}
+	}
+	if counted < 3 {
+		t.Fatalf("only %d counter claims", counted)
 	}
 	out := FormatClaims(claims)
 	if !strings.Contains(out, "claims reproduced") {

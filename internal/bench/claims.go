@@ -21,6 +21,9 @@ type Claim struct {
 	Passed bool
 	// Detail records the measured numbers behind the verdict.
 	Detail string
+	// Timed marks a verdict that compares wall-clock times; the others
+	// compare deterministic counters.
+	Timed bool
 }
 
 // String renders a PASS/FAIL line.
@@ -107,6 +110,10 @@ func VerifyClaims(size int, seed int64) ([]Claim, error) {
 			Detail: fmt.Sprintf(detail, args...),
 		})
 	}
+	addTimed := func(id, statement string, passed bool, detail string, args ...any) {
+		add(id, statement, passed, detail, args...)
+		claims[len(claims)-1].Timed = true
+	}
 
 	// Figure 6: tree ≫ list on random input.
 	listT, _, err := timeOf(list, f, random0)
@@ -117,7 +124,7 @@ func VerifyClaims(size int, seed int64) ([]Claim, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("fig6-tree-beats-list",
+	addTimed("fig6-tree-beats-list",
 		"aggregation tree beats the linked list on random input by a wide margin",
 		treeT*5 < listT, "list %.4gs vs tree %.4gs (×%.1f)", listT, treeT, listT/treeT)
 
@@ -125,7 +132,7 @@ func VerifyClaims(size int, seed int64) ([]Claim, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("fig6-tree-longlived-insensitive",
+	addTimed("fig6-tree-longlived-insensitive",
 		"the tree's time is insensitive to the long-lived percentage",
 		treeT80 < 3*treeT && treeT < 3*treeT80,
 		"ll=0%%: %.4gs, ll=80%%: %.4gs", treeT, treeT80)
@@ -135,7 +142,7 @@ func VerifyClaims(size int, seed int64) ([]Claim, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("sweep-beats-tree",
+	addTimed("sweep-beats-tree",
 		"the columnar event sweep beats the aggregation tree on random input",
 		sweepT < treeT, "sweep %.4gs vs tree %.4gs (×%.1f)", sweepT, treeT, treeT/sweepT)
 
@@ -152,11 +159,11 @@ func VerifyClaims(size int, seed int64) ([]Claim, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("fig7-ktree1-wins-sorted",
+	addTimed("fig7-ktree1-wins-sorted",
 		"ktree k=1 over a sorted relation beats both the tree and the list",
 		k1T < treeSortedT && k1T < listSortedT,
 		"k1 %.4gs, tree %.4gs, list %.4gs", k1T, treeSortedT, listSortedT)
-	add("fig7-tree-degenerates-sorted",
+	addTimed("fig7-tree-degenerates-sorted",
 		"the aggregation tree degenerates on sorted input",
 		treeSortedT > 3*treeT,
 		"sorted %.4gs vs random %.4gs", treeSortedT, treeT)
@@ -166,7 +173,7 @@ func VerifyClaims(size int, seed int64) ([]Claim, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("fig8-paradoxical-improvement",
+	addTimed("fig8-paradoxical-improvement",
 		"the sorted-input tree improves with many long-lived tuples",
 		treeSorted80T < treeSortedT,
 		"ll=80%% %.4gs vs ll=0%% %.4gs", treeSorted80T, treeSortedT)
@@ -212,7 +219,7 @@ func VerifyClaims(size int, seed int64) ([]Claim, error) {
 	if err != nil {
 		return nil, err
 	}
-	add("s7-balanced-tree",
+	addTimed("s7-balanced-tree",
 		"the balanced aggregation tree repairs the sorted-input worst case",
 		btreeSortedT*3 < treeSortedT,
 		"balanced %.4gs vs unbalanced %.4gs", btreeSortedT, treeSortedT)

@@ -59,6 +59,7 @@ func (c *Catalog) ResultCacheStats() core.CacheStats {
 // explicitly closed — in-flight lookups may still hold them; the collector
 // reclaims them once the last reader drops its handle.
 func (c *Catalog) Close() error {
+	c.dropImages()
 	if rc := c.results.Swap(nil); rc != nil {
 		return rc.Close()
 	}

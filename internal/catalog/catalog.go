@@ -65,6 +65,9 @@ type Catalog struct {
 	indexes    map[string]indexEntry
 	rangeIndex atomic.Bool
 	results    atomic.Pointer[core.ResultCache]
+
+	// The resident relation images static queries scan (image.go).
+	images imageCache
 }
 
 // Open loads the catalog at dir: every *.rel file becomes a relation named
@@ -75,6 +78,7 @@ func Open(dir string) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
 	c := &Catalog{dir: dir, entries: map[string]Entry{}}
+	c.images.limit = imageCacheBytes
 	for _, fi := range fis {
 		if fi.IsDir() || !strings.HasSuffix(fi.Name(), ".rel") {
 			continue
@@ -249,14 +253,24 @@ func (c *Catalog) queryTraced(sql string, sopts relation.ScanOptions, tr *obs.Qu
 			info.Index = idx
 		}
 	}
+	execute := func() (*query.QueryResult, error) {
+		// The §7 page-randomized scan and a relation too large to hold
+		// resident read the file; every other query scans its image.
+		if sopts.RandomizePages || version == "" || c.images.fileRoute(q.Relation, version, info.Tuples) {
+			return query.ExecuteFileTraced(q, path, &info, sopts, tr)
+		}
+		return query.ExecuteImageTraced(q, func() (*relation.Image, error) {
+			return c.imageFor(q.Relation, path, version)
+		}, &info, tr)
+	}
 	rc := c.results.Load()
 	if rc == nil || version == "" || !cacheable(q) {
-		return query.ExecuteFileTraced(q, path, &info, sopts, tr)
+		return execute()
 	}
 	if qr, ok := c.serveCached(rc, q, version, tr); ok {
 		return qr, nil
 	}
-	qr, err := query.ExecuteFileTraced(q, path, &info, sopts, tr)
+	qr, err := execute()
 	if err == nil {
 		c.storeResults(rc, q, version, qr)
 	}

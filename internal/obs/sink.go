@@ -98,6 +98,14 @@ const (
 	MetricResultCacheEvictions = "tempagg_result_cache_evictions_total"
 )
 
+// Relation-image metric names (S38): the catalog's resident column images,
+// one catalog-wide cache, so the series are unlabelled.
+const (
+	MetricImageBuilds    = "tempagg_relation_image_builds_total"
+	MetricImageEvictions = "tempagg_relation_image_evictions_total"
+	MetricImageBytes     = "tempagg_relation_image_bytes"
+)
+
 // Live-relation metric names (S36). All are labelled by relation: one live
 // evaluator per registered relation, shared by every writer and reader.
 const (
@@ -152,6 +160,10 @@ type Metrics struct {
 	cacheHits  *Counter
 	cacheMiss  *Counter
 	cacheEvict *Counter
+
+	imageBuilds *Counter
+	imageEvicts *Counter
+	imageBytes  *Gauge
 
 	liveSeq      *GaugeVec   // by relation, last published epoch
 	liveSegments *GaugeVec   // by relation
@@ -220,6 +232,12 @@ func NewMetrics(reg *Registry) *Metrics {
 			"Result-cache lookups that had to evaluate."),
 		cacheEvict: reg.Counter(MetricResultCacheEvictions,
 			"Result-cache entries evicted by the LRU bound."),
+		imageBuilds: reg.Counter(MetricImageBuilds,
+			"Relation images decoded from their files (S38)."),
+		imageEvicts: reg.Counter(MetricImageEvictions,
+			"Relation images dropped to keep the image cache within its byte bound."),
+		imageBytes: reg.Gauge(MetricImageBytes,
+			"Bytes held by resident relation images."),
 		liveSeq: reg.GaugeVec(MetricLiveEpochSeq,
 			"Tuples admitted to the live relation at its last published epoch (S36).", "relation"),
 		liveSegments: reg.GaugeVec(MetricLiveSegments,
@@ -324,6 +342,30 @@ func (m *Metrics) ResultCacheEvicted(n int) {
 		return
 	}
 	m.cacheEvict.Add(int64(n))
+}
+
+// RelationImageBuilt counts one relation image decoded from its file.
+func (m *Metrics) RelationImageBuilt() {
+	if m == nil {
+		return
+	}
+	m.imageBuilds.Inc()
+}
+
+// RelationImageEvicted counts one relation image dropped by the byte bound.
+func (m *Metrics) RelationImageEvicted() {
+	if m == nil {
+		return
+	}
+	m.imageEvicts.Inc()
+}
+
+// RelationImageBytes publishes the bytes held by resident relation images.
+func (m *Metrics) RelationImageBytes(n int64) {
+	if m == nil {
+		return
+	}
+	m.imageBytes.Set(n)
 }
 
 // LiveEpoch publishes a live relation's current epoch position: tuples

@@ -53,8 +53,10 @@ var queryCorpus = []string{
 	"SELECT COUNT(Name) FROM R GROUP BY SPAN 100000 USING KTREE 1",
 }
 
-// TestDifferentialMemoryVsFile runs the whole corpus both in memory and
-// streamed from disk, demanding value-identical results group by group.
+// TestDifferentialMemoryVsFile runs the whole corpus on the three routes —
+// in memory, streamed from disk, and over the file's decoded image —
+// demanding the same plan text, value-identical results group by group,
+// and the same EXPLAIN report.
 func TestDifferentialMemoryVsFile(t *testing.T) {
 	for _, order := range []workload.Order{workload.Random, workload.Sorted} {
 		rel, err := workload.Generate(workload.Config{
@@ -65,37 +67,65 @@ func TestDifferentialMemoryVsFile(t *testing.T) {
 		}
 		rel.Name = "R"
 		path := writeRelation(t, rel)
+		img, err := relation.LoadImage(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, sql := range queryCorpus {
 			t.Run(fmt.Sprintf("%s/%s", order, sql), func(t *testing.T) {
-				mem, err := Run(sql, rel, nil)
-				if err != nil {
-					t.Fatalf("in-memory: %v", err)
-				}
-				file, err := RunFile(sql, path, nil, relation.ScanOptions{})
-				if err != nil {
-					t.Fatalf("file: %v", err)
-				}
-				if len(mem.Groups) != len(file.Groups) {
-					t.Fatalf("group counts: %d vs %d", len(mem.Groups), len(file.Groups))
-				}
-				for gi := range mem.Groups {
-					if mem.Groups[gi].Key != file.Groups[gi].Key {
-						t.Fatalf("group %d keys differ: %q vs %q",
-							gi, mem.Groups[gi].Key, file.Groups[gi].Key)
+				for _, stmt := range []string{sql, "EXPLAIN " + sql} {
+					mem, err := Run(stmt, rel, nil)
+					if err != nil {
+						t.Fatalf("in-memory: %v", err)
 					}
-					if len(mem.Groups[gi].Results) != len(file.Groups[gi].Results) {
-						t.Fatalf("result counts differ in group %q", mem.Groups[gi].Key)
+					file, err := RunFile(stmt, path, nil, relation.ScanOptions{})
+					if err != nil {
+						t.Fatalf("file: %v", err)
 					}
-					for ri := range mem.Groups[gi].Results {
-						a := mem.Groups[gi].Results[ri]
-						b := file.Groups[gi].Results[ri]
-						if !a.Equal(b) {
-							t.Fatalf("group %q result %d differs:\n%s\nvs\n%s",
-								mem.Groups[gi].Key, ri, a, b)
-						}
+					image, err := ExecuteImage(mustParse(t, stmt), img, nil)
+					if err != nil {
+						t.Fatalf("image: %v", err)
+					}
+					for _, other := range []struct {
+						route string
+						qr    *QueryResult
+					}{{"file", file}, {"image", image}} {
+						sameResult(t, other.route, mem, other.qr)
 					}
 				}
 			})
+		}
+	}
+}
+
+// sameResult fails the test unless got, from the named route, has the
+// in-memory result's plan text, EXPLAIN report, groups and rows.
+func sameResult(t *testing.T, route string, mem, got *QueryResult) {
+	t.Helper()
+	if mem.Plan.String() != got.Plan.String() {
+		t.Fatalf("%s plan differs:\n%s\nvs\n%s", route, mem.Plan, got.Plan)
+	}
+	if mem.Explain != got.Explain {
+		t.Fatalf("%s EXPLAIN differs:\n%s\nvs\n%s", route, mem.Explain, got.Explain)
+	}
+	if len(mem.Groups) != len(got.Groups) {
+		t.Fatalf("%s group counts: %d vs %d", route, len(mem.Groups), len(got.Groups))
+	}
+	for gi := range mem.Groups {
+		if mem.Groups[gi].Key != got.Groups[gi].Key {
+			t.Fatalf("%s group %d keys differ: %q vs %q",
+				route, gi, mem.Groups[gi].Key, got.Groups[gi].Key)
+		}
+		if len(mem.Groups[gi].Results) != len(got.Groups[gi].Results) {
+			t.Fatalf("%s result counts differ in group %q", route, mem.Groups[gi].Key)
+		}
+		for ri := range mem.Groups[gi].Results {
+			a := mem.Groups[gi].Results[ri]
+			b := got.Groups[gi].Results[ri]
+			if !a.Equal(b) {
+				t.Fatalf("%s group %q result %d differs:\n%s\nvs\n%s",
+					route, mem.Groups[gi].Key, ri, a, b)
+			}
 		}
 	}
 }

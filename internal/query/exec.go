@@ -103,9 +103,11 @@ func cmpOrdered(sign int, op CompareOp) bool {
 // accepts reports whether the tuple passes the query's window and WHERE
 // conditions.
 func (q *Query) accepts(t tuple.Tuple) bool {
-	if q.Window != nil && !t.Valid.Overlaps(*q.Window) {
-		return false
-	}
+	return (q.Window == nil || t.Valid.Overlaps(*q.Window)) && q.where(t)
+}
+
+// where reports whether the tuple passes the query's WHERE conditions.
+func (q *Query) where(t tuple.Tuple) bool {
 	for _, c := range q.Where {
 		if !c.matches(t) {
 			return false
@@ -129,9 +131,11 @@ func ExecuteTraced(q *Query, rel *relation.Relation, info *RelationInfo, tr *obs
 	if q.Relation != rel.Name {
 		return nil, fmt.Errorf("query: relation %q not found (have %q)", q.Relation, rel.Name)
 	}
-	meta := RelationInfo{Tuples: rel.Len(), Sorted: rel.IsSorted(), KBound: -1}
+	var meta RelationInfo
 	if info != nil {
 		meta = *info
+	} else {
+		meta = RelationInfo{Tuples: rel.Len(), Sorted: rel.IsSorted(), KBound: -1}
 	}
 	// With cost-based planning on an unsorted relation of undeclared
 	// disorder, sample a k-orderedness estimate first so the planner can
@@ -144,10 +148,12 @@ func ExecuteTraced(q *Query, rel *relation.Relation, info *RelationInfo, tr *obs
 }
 
 // tupleSource is a rescannable tuple stream (Tuma reads it twice) with a
-// time-sorted view of itself, returned with the func that releases it.
+// time-sorted view of itself, returned with the func that releases it, and
+// the name of its route for the execute span: memory, file or image.
 type tupleSource interface {
 	core.TupleSource
 	sorted() (core.TupleSource, func(), error)
+	route() string
 }
 
 // sliceSource is an in-memory relation; its sorted view is the relation
@@ -162,11 +168,13 @@ func (s sliceSource) sorted() (core.TupleSource, func(), error) {
 		ts = slices.Clone(ts)
 		sort.SliceStable(ts, less)
 	}
-	return core.NewSliceSource(ts), func() {}, nil
+	return sliceSource{core.NewSliceSource(ts)}, func() {}, nil
 }
 
-// executeSource is the one static query executor, behind both the in-memory
-// and the file route. It plans once, then makes a single pass — source →
+func (sliceSource) route() string { return "memory" }
+
+// executeSource is the one static query executor, behind the in-memory, the
+// file and the image route. It plans once, then makes a single pass — source →
 // filter → group → sink — over the relation (§6).
 func executeSource(q *Query, src tupleSource, meta RelationInfo, tr *obs.QueryTrace) (*QueryResult, error) {
 	if q.Live {
@@ -252,6 +260,7 @@ func (x *executor) add(gr *GroupResult, res *core.Result, s core.Stats) {
 // source per aggregate, the cost the single-scan algorithms remove (§4.1).
 func (x *executor) pass(src tupleSource) ([]GroupResult, error) {
 	span := x.tr.StartSpan("execute")
+	span.SetAttr("source", src.route())
 	if !x.plan.Tuma || x.q.GroupAttr != nil || hasDistinct(x.q) || x.q.Temporal == BySpan {
 		groups, err := x.scan(src, span)
 		span.End()
@@ -291,14 +300,15 @@ type group struct {
 // needs ordered input: each tuple the query accepts joins its group's page,
 // and full pages go to the group's sinks.
 func (x *executor) scan(src tupleSource, span *obs.Span) (map[string]*group, error) {
-	groups := map[string]*group{}
+	s := &scanState{x: x, groups: map[string]*group{}}
 	if x.q.GroupAttr == nil {
 		// Even with no qualifying tuple: the one empty constant interval.
-		groups[""] = &group{}
+		s.single = &group{}
+		s.groups[""] = s.single
 	}
 	if x.plan.UseIndex && x.meta.Index != nil {
 		// A resident index answers from its node partials alone.
-		return groups, nil
+		return s.groups, nil
 	}
 	var in core.TupleSource = src
 	if needsSort(x.q, x.plan, x.meta) {
@@ -312,27 +322,96 @@ func (x *executor) scan(src tupleSource, span *obs.Span) (map[string]*group, err
 		defer release()
 		in = sorted
 	}
-	fs := &filteredSource{q: x.q, src: in}
-	for {
-		t, ok, err := fs.Next()
-		if err != nil || !ok {
-			return groups, err
+	return s.groups, s.read(in)
+}
+
+// scanState routes one pass's tuples to their groups. single is the one
+// group of a query without GROUP BY, found once rather than per tuple.
+type scanState struct {
+	x      *executor
+	groups map[string]*group
+	single *group
+}
+
+// read delivers every tuple of in that overlaps the VALID window to add.
+// Resident sources are read by index; an image is tested on its time
+// columns before a tuple is built.
+func (s *scanState) read(in core.TupleSource) error {
+	w := s.x.q.Window
+	switch src := in.(type) {
+	case *imageSource:
+		img, err := src.image()
+		if err != nil {
+			return err
 		}
-		key := ""
-		if x.q.GroupAttr != nil {
-			key = t.Name
+		if s.single != nil && s.x.plan.Snapshot {
+			// Without groups to register, add's instant test can come
+			// first, on the columns.
+			at := interval.At(*s.x.q.At)
+			w = &at
 		}
-		g := groups[key]
-		if g == nil {
-			g = &group{}
-			groups[key] = g
-		}
-		if g.page = append(g.page, t); len(g.page) == core.BatchPage {
-			if err := x.feed(g); err != nil {
-				return nil, err
+		for i := range img.Len() {
+			if w != nil && !img.Overlaps(i, *w) {
+				continue
+			}
+			t, err := img.Tuple(i)
+			if err == nil {
+				err = s.add(t)
+			}
+			if err != nil {
+				return err
 			}
 		}
+		return nil
+	case sliceSource:
+		for _, t := range src.Tuples {
+			if w != nil && !t.Valid.Overlaps(*w) {
+				continue
+			}
+			if err := s.add(t); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	for {
+		t, ok, err := in.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if w != nil && !t.Valid.Overlaps(*w) {
+			continue
+		}
+		if err := s.add(t); err != nil {
+			return err
+		}
+	}
+}
+
+// add applies WHERE to one windowed tuple and appends it to its group's
+// page, feeding the page to the group's sinks when it fills. A snapshot
+// plan drops a tuple not valid at its instant before buffering it, but
+// only after registering its group: AT … GROUP BY reports every group that
+// passes WHERE, with COUNT 0 where no tuple covers the instant.
+func (s *scanState) add(t tuple.Tuple) error {
+	q := s.x.q
+	if !q.where(t) {
+		return nil
+	}
+	g := s.single
+	if g == nil {
+		if g = s.groups[t.Name]; g == nil {
+			g = &group{}
+			s.groups[t.Name] = g
+		}
+	}
+	if s.x.plan.Snapshot && !t.Valid.Contains(*q.At) {
+		return nil
+	}
+	if g.page = append(g.page, t); len(g.page) == core.BatchPage {
+		return s.x.feed(g)
+	}
+	return nil
 }
 
 // feed hands a group's page to each of its sinks, creating them on the
@@ -427,10 +506,9 @@ func (x *executor) stream(f aggregate.Func) (sink, error) {
 		state, n := f.Zero(), 0
 		return sink{
 			add: func(page []tuple.Tuple) error {
+				// The scan passes only tuples valid at the instant.
 				for _, t := range page {
-					if t.Valid.Contains(*x.q.At) {
-						state = f.Add(state, t.Value)
-					}
+					state = f.Add(state, t.Value)
 				}
 				n += len(page)
 				return nil

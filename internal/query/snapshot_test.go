@@ -6,6 +6,7 @@ import (
 
 	"tempagg/internal/interval"
 	"tempagg/internal/relation"
+	"tempagg/internal/tuple"
 )
 
 func TestParseAt(t *testing.T) {
@@ -83,5 +84,63 @@ func TestSnapshotViaFile(t *testing.T) {
 	qr := runFile(t, "SELECT MAX(Salary) FROM Employed AT 21", path)
 	if got := qr.Groups[0].Result.Value(0).Int; got != 40 {
 		t.Fatalf("MAX at 21 = %d, want 40", got)
+	}
+}
+
+// TestSnapshotReportsGroupsAbsentAtInstant: an AT scan drops tuples not
+// valid at the instant before buffering them, yet every group that passes
+// WHERE is still reported — COUNT 0 and a null MAX where no tuple covers
+// the instant — on every route, DISTINCT included. The snapshot-scan
+// counter counts only the tuples valid at the instant.
+func TestSnapshotReportsGroupsAbsentAtInstant(t *testing.T) {
+	rel := relation.FromTuples("R", []tuple.Tuple{
+		tuple.MustNew("a", 10, 0, 100),
+		tuple.MustNew("a", 20, 40, 60),
+		tuple.MustNew("a", 20, 40, 60),
+		tuple.MustNew("b", 30, 0, 10),
+		tuple.MustNew("b", 40, 70, interval.Forever),
+		tuple.MustNew("c", 99, 0, interval.Forever), // fails WHERE
+	})
+	path := writeRelation(t, rel)
+	img, err := relation.LoadImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT Name, COUNT(Name), MAX(Salary), COUNT(DISTINCT Name) FROM R AT 50 WHERE Salary < 50 GROUP BY Name"
+	routes := map[string]func() (*QueryResult, error){
+		"memory": func() (*QueryResult, error) { return Run(sql, rel, nil) },
+		"file":   func() (*QueryResult, error) { return RunFile(sql, path, nil, relation.ScanOptions{}) },
+		"image":  func() (*QueryResult, error) { return ExecuteImage(mustParse(t, sql), img, nil) },
+	}
+	for route, run := range routes {
+		qr, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		if len(qr.Groups) != 2 || qr.Groups[0].Key != "a" || qr.Groups[1].Key != "b" {
+			t.Fatalf("%s: groups %+v, want a and b", route, qr.Groups)
+		}
+		a, b := qr.Groups[0].Results, qr.Groups[1].Results
+		if got := a[0].Value(0).Int; got != 3 {
+			t.Errorf("%s: COUNT for a = %d, want 3", route, got)
+		}
+		if got := a[1].Value(0); got.Null || got.Int != 20 {
+			t.Errorf("%s: MAX for a = %+v, want 20", route, got)
+		}
+		if got := a[2].Value(0).Int; got != 2 {
+			t.Errorf("%s: COUNT(DISTINCT) for a = %d, want 2", route, got)
+		}
+		if got := b[0].Value(0).Int; got != 0 {
+			t.Errorf("%s: COUNT for b = %d, want 0", route, got)
+		}
+		if got := b[1].Value(0); !got.Null {
+			t.Errorf("%s: MAX for b = %+v, want null", route, got)
+		}
+		if got := b[2].Value(0).Int; got != 0 {
+			t.Errorf("%s: COUNT(DISTINCT) for b = %d, want 0", route, got)
+		}
+		if n := qr.Groups[0].AllStats[0].Tuples; n != 3 {
+			t.Errorf("%s: snapshot scan counted %d tuples for a, want the 3 valid at 50", route, n)
+		}
 	}
 }

@@ -35,11 +35,13 @@ func ExecuteFileTraced(q *Query, path string, info *RelationInfo, sopts relation
 	}
 	defer sc.Close()
 	meta := RelationInfo{Tuples: sc.Count(), Sorted: sc.Sorted(), KBound: -1}
-	if sopts.RandomizePages {
-		meta.Sorted = false // a randomized scan destroys physical order
-	}
 	if info != nil {
 		meta = *info
+	}
+	if sopts.RandomizePages {
+		// A randomized scan destroys physical order, whatever the header
+		// or the catalog's declarations say.
+		meta.Sorted, meta.KBound = false, -1
 	}
 	return executeSource(q, fileSource{Scanner: sc, path: path}, meta, tr)
 }
@@ -50,6 +52,8 @@ type fileSource struct {
 	*relation.Scanner
 	path string
 }
+
+func (fileSource) route() string { return "file" }
 
 func (s fileSource) sorted() (core.TupleSource, func(), error) {
 	tmp, err := os.CreateTemp("", "tempagg-sorted-*.rel")

@@ -140,13 +140,22 @@ func decodeRecord(buf []byte) (tuple.Tuple, error) {
 	if len(buf) < RecordSize {
 		return tuple.Tuple{}, fmt.Errorf("relation: short record: %d bytes", len(buf))
 	}
-	name := buf[0:tuple.NameLen]
+	name, value, start, end := recordFields(buf)
+	return tuple.New(string(name), value, decodeTime(start), decodeTime(end))
+}
+
+// recordFields splits a full 128-byte record into its raw fields: the name
+// up to its NUL padding, the sign-extended value, and the two on-disk
+// timestamps. It checks nothing; every caller validates the fields through
+// tuple.New.
+func recordFields(buf []byte) (name []byte, value int64, start, end uint32) {
+	name = buf[0:tuple.NameLen]
 	if i := bytes.IndexByte(name, 0); i >= 0 {
 		name = name[:i]
 	}
 	off := tuple.NameLen
-	value := int64(int32(binary.BigEndian.Uint32(buf[off : off+4])))
-	start := decodeTime(binary.BigEndian.Uint32(buf[off+4 : off+8]))
-	end := decodeTime(binary.BigEndian.Uint32(buf[off+8 : off+12]))
-	return tuple.New(string(name), value, start, end)
+	value = int64(int32(binary.BigEndian.Uint32(buf[off : off+4])))
+	start = binary.BigEndian.Uint32(buf[off+4 : off+8])
+	end = binary.BigEndian.Uint32(buf[off+8 : off+12])
+	return name, value, start, end
 }

@@ -114,10 +114,11 @@ func (s *Scanner) init() error {
 	if err != nil {
 		return fmt.Errorf("relation: stat: %w", err)
 	}
-	want := int64(HeaderSize) + int64(h.count)*RecordSize
-	if fi.Size() < want {
-		return fmt.Errorf("relation: truncated file: header promises %d tuples (%d bytes), file has %d bytes",
-			h.count, want, fi.Size())
+	// Compared in records, so that a corrupt count cannot overflow the
+	// byte arithmetic and pass.
+	if h.count > uint64(fi.Size()-HeaderSize)/RecordSize {
+		return fmt.Errorf("relation: truncated file: header promises %d tuples of %d bytes, file has %d bytes",
+			h.count, RecordSize, fi.Size())
 	}
 	s.buildOrder()
 	s.passes = 1
@@ -187,13 +188,9 @@ func (s *Scanner) loadPage() error {
 	}
 	pageNo := s.order[s.pageIdx]
 	s.pageIdx++
-	recs := RecordsPerPage
-	if rem := int(s.hdr.count) - pageNo*RecordsPerPage; rem < recs {
-		recs = rem
-	}
-	off := int64(HeaderSize) + int64(pageNo)*PageSize
-	if _, err := s.f.ReadAt(s.page[:recs*RecordSize], off); err != nil {
-		return fmt.Errorf("relation: read page %d: %w", pageNo, err)
+	recs, err := s.readPage(pageNo)
+	if err != nil {
+		return err
 	}
 	s.pageRecs = recs
 	s.inPage = 0
@@ -202,6 +199,19 @@ func (s *Scanner) loadPage() error {
 		s.perm = r.Perm(recs)
 	}
 	return nil
+}
+
+// readPage reads page pageNo into s.page and returns its record count.
+func (s *Scanner) readPage(pageNo int) (int, error) {
+	recs := RecordsPerPage
+	if rem := int(s.hdr.count) - pageNo*RecordsPerPage; rem < recs {
+		recs = rem
+	}
+	off := int64(HeaderSize) + int64(pageNo)*PageSize
+	if _, err := s.f.ReadAt(s.page[:recs*RecordSize], off); err != nil {
+		return 0, fmt.Errorf("relation: read page %d: %w", pageNo, err)
+	}
+	return recs, nil
 }
 
 // Close releases the underlying file.

@@ -242,6 +242,19 @@ func TestOpenRejectsTruncatedFile(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsOverflowingCount: a count whose byte size overflows int64
+// is a truncated file, not a relation of billions of tuples.
+func TestOpenRejectsOverflowingCount(t *testing.T) {
+	path := tempPath(t, "overflow.rel")
+	hdr := header{version: formatVersion, count: 1 << 60}.encode()
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, ScanOptions{}); err == nil {
+		t.Fatal("expected error for a count beyond the file")
+	}
+}
+
 func TestOpenRejectsShortHeader(t *testing.T) {
 	path := tempPath(t, "short.rel")
 	if err := os.WriteFile(path, []byte("TAGG"), 0o644); err != nil {
