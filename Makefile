@@ -81,7 +81,6 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParallelSweepVsSerial -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzLiveSnapshotVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzIndexVsReference -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPartialStateRoundTrip -fuzztime $(FUZZTIME)
 
 # A fast machine-readable run of the hot-path experiments, gated against
 # the checked-in BENCH_PR9.json: the target fails when any series' median

@@ -197,10 +197,5 @@ func serve(cfg serveConfig, out io.Writer, ready func(queryAddr, adminAddr strin
 		}
 	default:
 	}
-	// The metrics sink has no buffered state today, but a sink flush
-	// failure at shutdown must reach the operator, not vanish.
-	if ferr := o.Metrics.Flush(); err == nil {
-		err = ferr
-	}
 	return err
 }

@@ -24,7 +24,7 @@
 //     core.NodeBytes
 //   - lockcopy — by-value copies of lock- or tree-holding structs
 //
-// And the five flow-sensitive analyzers built on the CFG/dataflow engine
+// And the four flow-sensitive analyzers built on the CFG/dataflow engine
 // (internal/lint/cfg.go, dataflow.go):
 //
 //   - arenaescape — arena- or pool-backed values used after release or
@@ -34,8 +34,6 @@
 //   - atomicmix — fields accessed both through sync/atomic and by plain
 //     read/write after publication
 //   - unlockpath — mutexes still held on some path out of a function
-//   - sinknil — methods called on possibly-nil obs.Sink/obs.EvalSink
-//     handles (nil means instrumentation disabled, by contract)
 //
 // Suppress a single finding with a justified directive on or directly
 // above the flagged line:

@@ -18,7 +18,7 @@ func TestListPrintsAllAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"intervalbounds", "finishonce", "errdrop", "nodebytes", "lockcopy",
-		"arenaescape", "poolbalance", "atomicmix", "unlockpath", "sinknil",
+		"arenaescape", "poolbalance", "atomicmix", "unlockpath",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())

@@ -105,7 +105,7 @@ type Tree struct {
 	ar    arena[treeNode]
 	root  *treeNode
 	span  interval.Interval // the root's covered range
-	es    obs.EvalSink
+	sink  obs.Sink
 	stats statsCell
 }
 
@@ -129,13 +129,7 @@ func NewAggregationTreeRange(f aggregate.Func, span interval.Interval) *Tree {
 	return t
 }
 
-func (t *Tree) setSink(s obs.Sink) {
-	if s == nil {
-		return // nil Sink: instrumentation disabled (obs.Sink contract)
-	}
-	t.es = s.Evaluator(AggregationTree.String())
-	t.es.NodesAllocated(1) // the initial universe leaf
-}
+func (t *Tree) setSink(s obs.Sink) { t.sink = s }
 
 // Add inserts one tuple, splitting the leaves containing its start and end
 // timestamps and updating the highest fully covered nodes. A tuple outside
@@ -152,45 +146,23 @@ func (t *Tree) Add(tu tuple.Tuple) error {
 		iv.Start, iv.End, tu.Value)
 	t.stats.grow(grown)
 	t.stats.addTuple()
-	if t.es != nil {
-		t.es.TuplesProcessed(1)
-		t.es.NodesAllocated(grown)
+	return nil
+}
+
+// AddBatch absorbs one page of tuples through Add.
+func (t *Tree) AddBatch(ts []tuple.Tuple) error {
+	for i := range ts {
+		if err := t.Add(ts[i]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// AddBatch absorbs one page of tuples. Per-tuple work matches Add exactly
-// (the stats counters advance tuple by tuple, so a concurrent scrape sees
-// the same progression); only the obs sink publication is batched, one
-// event pair per page instead of two interface calls per tuple.
-func (t *Tree) AddBatch(ts []tuple.Tuple) error {
-	grown, added := 0, 0
-	var err error
-	for i := range ts {
-		if err = ts[i].Valid.Validate(); err != nil {
-			break
-		}
-		iv, ok := ts[i].Valid.Intersect(t.span)
-		if !ok {
-			continue
-		}
-		g := treeInsert(t.f, &t.ar, t.root, t.span.Start, t.span.End,
-			iv.Start, iv.End, ts[i].Value)
-		t.stats.grow(g)
-		t.stats.addTuple()
-		grown += g
-		added++
-	}
-	if t.es != nil {
-		t.es.TuplesProcessed(added)
-		t.es.NodesAllocated(grown)
-	}
-	return err
-}
-
 // Finish performs the depth-first traversal (§5.1), merging each node's
 // contribution into the accumulated state and emitting one row per leaf,
-// then returns the arena's slabs to the shared pool.
+// then returns the arena's slabs to the shared pool and publishes the
+// run's counters.
 func (t *Tree) Finish() (*Result, error) {
 	// A full binary tree with L leaves has 2L-1 nodes; size Rows for the
 	// exact leaf count so emission never reallocates.
@@ -198,11 +170,9 @@ func (t *Tree) Finish() (*Result, error) {
 	res := &Result{Func: t.f, Rows: make([]Row, 0, leaves)}
 	emitSubtree(t.f, t.root, t.span.Start, t.span.End, t.f.Zero(), res)
 	t.root = nil
-	slabs, reused := t.ar.release()
-	if t.es != nil {
-		t.es.PeakNodes(int(t.stats.peakNodes.Load()))
-		t.es.ArenaRelease(slabs, reused)
-	}
+	c := t.stats.counters()
+	c.ArenaSlabs, c.ArenaReused = t.ar.release()
+	Publish(t.sink, AggregationTree.String(), c)
 	return res, nil
 }
 

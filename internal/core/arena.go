@@ -17,7 +17,7 @@ import "sync"
 // returns nodes — to the arena's free list, where the next split reuses
 // them, keeping the resident footprint proportional to the paper's
 // LiveNodes figure rather than to nodes-ever-allocated. Arena traffic
-// (slabs retained, nodes reused) is published through obs.EvalSink at
+// (slabs retained, nodes reused) goes into the run's counters record at
 // release time.
 
 // arenaSlabNodes is the number of nodes per slab. At core.NodeBytes of
@@ -97,7 +97,7 @@ func (a *arena[T]) recycle(p *T) {
 
 // release returns every slab to the shared pool and resets the arena,
 // reporting the slab count and the number of free-list reuses for the
-// obs.EvalSink arena counters. The owning evaluator must have dropped all
+// run's arena counters. The owning evaluator must have dropped all
 // node pointers first; release is the teardown half of Finish.
 func (a *arena[T]) release() (slabs, reused int) {
 	slabs, reused = len(a.slabs), a.freed
@@ -187,7 +187,7 @@ func (a *colArena) release(col []int64) {
 }
 
 // counters reports columns acquired and pool reuses over the run, the
-// quantities published through obs.EvalSink.ArenaRelease.
+// quantities recorded as the run's arena counters.
 func (a *colArena) counters() (cols, reused int) {
 	return a.acquired, a.reused
 }

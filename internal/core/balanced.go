@@ -53,7 +53,7 @@ type BTree struct {
 	f     aggregate.Func
 	ar    arena[bNode]
 	root  *bNode
-	es    obs.EvalSink
+	sink  obs.Sink
 	stats statsCell
 }
 
@@ -67,50 +67,27 @@ func NewBalancedTree(f aggregate.Func) *BTree {
 	return t
 }
 
-func (t *BTree) setSink(s obs.Sink) {
-	if s == nil {
-		return // nil Sink: instrumentation disabled (obs.Sink contract)
-	}
-	t.es = s.Evaluator(BalancedTree.String())
-	t.es.NodesAllocated(1) // the initial universe leaf
-}
+func (t *BTree) setSink(s obs.Sink) { t.sink = s }
 
 // Add inserts one tuple, rebalancing along the insertion path.
 func (t *BTree) Add(tu tuple.Tuple) error {
 	if err := tu.Valid.Validate(); err != nil {
 		return err
 	}
-	liveBefore := t.stats.liveNodes.Load()
 	t.root = t.insert(t.root, interval.Origin, interval.Forever,
 		tu.Valid.Start, tu.Valid.End, tu.Value)
 	t.stats.addTuple()
-	if t.es != nil {
-		t.es.TuplesProcessed(1)
-		t.es.NodesAllocated(int(t.stats.liveNodes.Load() - liveBefore))
-	}
 	return nil
 }
 
-// AddBatch absorbs one page of tuples; per-tuple stats updates match Add,
-// with one sink publication per page.
+// AddBatch absorbs one page of tuples through Add.
 func (t *BTree) AddBatch(ts []tuple.Tuple) error {
-	liveBefore := t.stats.liveNodes.Load()
-	added := 0
-	var err error
 	for i := range ts {
-		if err = ts[i].Valid.Validate(); err != nil {
-			break
+		if err := t.Add(ts[i]); err != nil {
+			return err
 		}
-		t.root = t.insert(t.root, interval.Origin, interval.Forever,
-			ts[i].Valid.Start, ts[i].Valid.End, ts[i].Value)
-		t.stats.addTuple()
-		added++
 	}
-	if t.es != nil {
-		t.es.TuplesProcessed(added)
-		t.es.NodesAllocated(int(t.stats.liveNodes.Load() - liveBefore))
-	}
-	return err
+	return nil
 }
 
 // insert places [s, e] with value v into the subtree rooted at n covering
@@ -190,18 +167,16 @@ func (t *BTree) rebalance(n *bNode) *bNode {
 	return n
 }
 
-// Finish emits the constant intervals via depth-first traversal, then
-// returns the arena's slabs to the shared pool.
+// Finish emits the constant intervals via depth-first traversal, returns
+// the arena's slabs to the shared pool, and publishes the run's counters.
 func (t *BTree) Finish() (*Result, error) {
 	leaves := (int(t.stats.liveNodes.Load()) + 1) / 2
 	res := &Result{Func: t.f, Rows: make([]Row, 0, leaves)}
 	t.emit(t.root, interval.Origin, interval.Forever, t.f.Zero(), res)
 	t.root = nil
-	slabs, reused := t.ar.release()
-	if t.es != nil {
-		t.es.PeakNodes(int(t.stats.peakNodes.Load()))
-		t.es.ArenaRelease(slabs, reused)
-	}
+	c := t.stats.counters()
+	c.ArenaSlabs, c.ArenaReused = t.ar.release()
+	Publish(t.sink, BalancedTree.String(), c)
 	return res, nil
 }
 

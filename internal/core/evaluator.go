@@ -54,13 +54,14 @@ type Evaluator interface {
 	// Add absorbs one tuple.
 	Add(t tuple.Tuple) error
 	// AddBatch absorbs a page of tuples, equivalent to calling Add on each
-	// in order but with sink publication amortized over the page (one event
-	// per page instead of per tuple). On an invalid tuple it stops and
-	// returns the error; tuples before the failing one are absorbed, as they
-	// would be under per-tuple Add. Callers feed pages of BatchPage tuples.
+	// in order: one call per page instead of one interface call per tuple.
+	// On an invalid tuple it stops and returns the error; tuples before the
+	// failing one are absorbed, as they would be under per-tuple Add.
+	// Callers feed pages of BatchPage tuples.
 	AddBatch(ts []tuple.Tuple) error
 	// Finish completes the computation and returns the constant intervals
-	// in time order. The evaluator must not be reused afterwards.
+	// in time order; an observed evaluator publishes its one counters
+	// record here. The evaluator must not be reused afterwards.
 	Finish() (*Result, error)
 	// Stats reports work and space counters; valid at any point, and safe
 	// to call from another goroutine while Add or Finish is in flight:

@@ -294,50 +294,3 @@ func FuzzIndexVsReference(f *testing.F) {
 		}
 	})
 }
-
-// FuzzPartialStateRoundTrip drives the canonical partial encoding from both
-// directions. Forward: a partial built from fuzzer values must round-trip
-// bit-exactly through encode/decode and reconstitute the directly-computed
-// state for every kind. Backward: arbitrary bytes either fail to decode or
-// decode to a partial whose re-encoding reproduces the consumed bytes —
-// the canonical-form guarantee that makes encoded partials comparable
-// byte-wise.
-func FuzzPartialStateRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(4), []byte{0x00})
-	f.Add(int64(2), uint8(0), []byte{0x02, 0x06, 0x02, 0x04})
-	f.Add(int64(3), uint8(200), []byte{0x80, 0x00})
-	f.Fuzz(func(t *testing.T, seed int64, nb uint8, raw []byte) {
-		r := rand.New(rand.NewSource(seed))
-		var p IndexPartial
-		vals := make([]int64, int(nb)%24)
-		for i := range vals {
-			vals[i] = r.Int63n(4001) - 2000
-			p.add(vals[i])
-		}
-		enc := p.AppendBinary(nil)
-		dec, n, err := DecodeIndexPartial(enc)
-		if err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
-		if n != len(enc) || dec != p {
-			t.Fatalf("round-trip: %+v -> %+v (consumed %d of %d)", p, dec, n, len(enc))
-		}
-		for _, k := range aggregate.Kinds() {
-			fn := aggregate.For(k)
-			want := fn.Zero()
-			for _, v := range vals {
-				want = fn.Add(want, v)
-			}
-			if !fn.StateEqual(dec.State(fn), want) {
-				t.Fatalf("%v over %v: reconstituted state differs", k, vals)
-			}
-		}
-		// Backward: decode arbitrary bytes; on success the consumed prefix
-		// must be the decoded partial's one canonical encoding.
-		if q, n, err := DecodeIndexPartial(raw); err == nil {
-			if got := q.AppendBinary(nil); !reflect.DeepEqual(got, raw[:n]) {
-				t.Fatalf("non-canonical bytes % x accepted for %+v (canonical % x)", raw[:n], q, got)
-			}
-		}
-	})
-}

@@ -59,7 +59,7 @@ type IntervalIndex struct {
 	tuples int
 	closed bool
 
-	es obs.EvalSink
+	sink obs.Sink
 }
 
 // NewIntervalIndex builds the index over ts. Construction validates every
@@ -103,15 +103,13 @@ func NewIntervalIndex(ts []tuple.Tuple) (*IntervalIndex, error) {
 	return x, nil
 }
 
-// SetSink attaches an observability sink; lookups then publish under the
-// "index-lookup" algorithm label, and the completed build is reported
-// immediately. Safe only before the index is shared across goroutines.
+// SetSink attaches an observability sink; each lookup then publishes one
+// record under the "index-lookup" algorithm label, and the completed build
+// is recorded immediately. Safe only before the index is shared across
+// goroutines.
 func (x *IntervalIndex) SetSink(s obs.Sink) {
-	if s == nil {
-		return // nil Sink: instrumentation disabled (obs.Sink contract)
-	}
-	x.es = s.Evaluator(IndexLookupAlg)
-	x.es.IndexBuild(len(x.nodes), x.tuples)
+	x.sink = s
+	Publish(s, IndexLookupAlg, obs.EvalCounters{IndexNodes: len(x.nodes), Tuples: x.tuples})
 }
 
 // Len reports the number of tuples indexed.
@@ -163,9 +161,7 @@ func (x *IntervalIndex) Range(f aggregate.Func, window interval.Interval) (*Resu
 	hi := x.leafOf(window.End)
 	res := &Result{Func: f, Rows: make([]Row, 0, hi-lo+1)}
 	merges := x.walk(f, res, 1, 0, x.pow2-1, lo, hi, IndexPartial{}, window)
-	if x.es != nil {
-		x.es.IndexLookup(merges)
-	}
+	Publish(x.sink, IndexLookupAlg, obs.EvalCounters{IndexLookups: 1, IndexMerges: merges})
 	return res, nil
 }
 
@@ -208,93 +204,6 @@ func (x *IntervalIndex) walk(f aggregate.Func, res *Result, node, nodeLo, nodeHi
 	merges += x.walk(f, res, 2*node, nodeLo, mid, lo, hi, acc, window)
 	merges += x.walk(f, res, 2*node+1, mid+1, nodeHi, lo, hi, acc, window)
 	return merges
-}
-
-// MarshalBinary serializes the index — boundaries as delta varints, node
-// partials in their canonical encoding — for spill-to-disk or distributed
-// scatter/gather. UnmarshalIntervalIndex is the inverse.
-func (x *IntervalIndex) MarshalBinary() ([]byte, error) {
-	if x.closed {
-		return nil, ErrIndexClosed
-	}
-	out := make([]byte, 0, len(x.nodes)+8*len(x.bounds))
-	out = append(out, indexMagic...)
-	out = appendUvarint(out, uint64(x.tuples))
-	out = appendUvarint(out, uint64(len(x.bounds)))
-	prev := interval.Time(0)
-	for _, b := range x.bounds {
-		out = appendUvarint(out, uint64(b-prev))
-		prev = b
-	}
-	for _, p := range x.nodes {
-		out = p.AppendBinary(out)
-	}
-	return out, nil
-}
-
-// UnmarshalIntervalIndex reconstructs an index serialized by
-// MarshalBinary, validating the canonical form of every node partial.
-func UnmarshalIntervalIndex(data []byte) (*IntervalIndex, error) {
-	if len(data) < len(indexMagic) || string(data[:len(indexMagic)]) != indexMagic {
-		return nil, errors.New("core: interval index: bad magic")
-	}
-	off := len(indexMagic)
-	tuples, n, err := decodeUvarint(data[off:])
-	if err != nil {
-		return nil, err
-	}
-	off += n
-	leaves, n, err := decodeUvarint(data[off:])
-	if err != nil {
-		return nil, err
-	}
-	off += n
-	if leaves == 0 {
-		return nil, errors.New("core: interval index: no leaves")
-	}
-	bounds := make([]interval.Time, leaves)
-	prev := interval.Time(0)
-	for i := range bounds {
-		d, n, err := decodeUvarint(data[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		prev += interval.Time(d)
-		bounds[i] = prev
-	}
-	if bounds[0] != interval.Origin {
-		return nil, errors.New("core: interval index: first boundary is not the origin")
-	}
-	pow2 := 1
-	for pow2 < int(leaves) {
-		pow2 <<= 1
-	}
-	nodes := make([]IndexPartial, 2*pow2)
-	for i := range nodes {
-		p, n, err := DecodeIndexPartial(data[off:])
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = p
-		off += n
-	}
-	if off != len(data) {
-		return nil, errors.New("core: interval index: trailing bytes")
-	}
-	return &IntervalIndex{bounds: bounds, nodes: nodes, pow2: pow2, tuples: int(tuples)}, nil
-}
-
-const indexMagic = "TAIX1"
-
-// appendUvarint is binary.AppendUvarint without the import churn at every
-// call site in this file's encoder.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
 }
 
 // Close releases the node and boundary storage; subsequent lookups return

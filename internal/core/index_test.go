@@ -115,8 +115,7 @@ func TestIndexLiveTailRangePositions(t *testing.T) {
 // for: for any split point m inside [a, b], the merge of the partial
 // lookups over [a, m-1] and [m, b] must equal the direct lookup over
 // [a, b] — row-wise (concatenated range results) and partial-wise
-// (MergePartials over the two halves' root-path accumulations, round-
-// tripped through the canonical encoding).
+// (MergePartials over the two halves' root-path accumulations).
 func TestMetamorphicIntervalSplit(t *testing.T) {
 	const horizon = 300
 	r := rand.New(rand.NewSource(23))
@@ -162,8 +161,8 @@ func TestMetamorphicIntervalSplit(t *testing.T) {
 			}
 		}
 		// Partial-wise: accumulate each half's rows back into one partial
-		// per side via the encoding and merge; COUNT and SUM are linear in
-		// elementary-interval contributions, so totals must agree.
+		// per side and merge; COUNT and SUM are linear in elementary-
+		// interval contributions, so totals must agree.
 		a, m, b := interval.Time(10), interval.Time(137), interval.Time(horizon-5)
 		sumHalf := func(w interval.Interval) IndexPartial {
 			res, err := idx.Range(aggregate.For(aggregate.Count), w)
@@ -180,12 +179,7 @@ func TestMetamorphicIntervalSplit(t *testing.T) {
 				} else if q.Count == 1 {
 					q.Sum, q.Min, q.Max = 1, 1, 1
 				}
-				enc := q.AppendBinary(nil)
-				dec, n, err := DecodeIndexPartial(enc)
-				if err != nil || n != len(enc) {
-					t.Fatalf("round-trip of %+v: n=%d err=%v", q, n, err)
-				}
-				p = MergePartials(p, dec)
+				p = MergePartials(p, q)
 			}
 			return p
 		}
@@ -197,58 +191,8 @@ func TestMetamorphicIntervalSplit(t *testing.T) {
 	}
 }
 
-// TestIndexMarshalRoundTrip serializes an index, reconstructs it, and
-// requires byte-identical re-serialization and row-identical lookups.
-func TestIndexMarshalRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for _, n := range []int{0, 1, 50, 200} {
-		ts := randomTuples(r, n, 500)
-		idx, err := NewIntervalIndex(ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := idx.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := UnmarshalIntervalIndex(data)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		data2, err := back.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, data2) {
-			t.Fatalf("n=%d: re-serialization differs", n)
-		}
-		for _, k := range aggregate.Kinds() {
-			f := aggregate.For(k)
-			a, err := idx.Result(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := back.Result(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !a.Equal(b) {
-				t.Fatalf("n=%d %v: deserialized index answers differently", n, k)
-			}
-		}
-		// Corrupt: flip the magic.
-		if _, err := UnmarshalIntervalIndex(append([]byte("XXIX1"), data[5:]...)); err == nil {
-			t.Fatal("bad magic accepted")
-		}
-		// Corrupt: trailing byte.
-		if _, err := UnmarshalIntervalIndex(append(append([]byte(nil), data...), 0)); err == nil {
-			t.Fatal("trailing bytes accepted")
-		}
-	}
-}
-
-// TestIndexClosed pins the Close contract: lookups and serialization after
-// Close fail with ErrIndexClosed, and Close is idempotent.
+// TestIndexClosed pins the Close contract: lookups after Close fail with
+// ErrIndexClosed, and Close is idempotent.
 func TestIndexClosed(t *testing.T) {
 	idx, err := NewIntervalIndex(nil)
 	if err != nil {
@@ -268,9 +212,6 @@ func TestIndexClosed(t *testing.T) {
 	func() {
 		if _, err := idx.Result(aggregate.For(aggregate.Count)); err != ErrIndexClosed {
 			t.Fatalf("Result after Close: %v, want ErrIndexClosed", err)
-		}
-		if _, err := idx.MarshalBinary(); err != ErrIndexClosed {
-			t.Fatalf("MarshalBinary after Close: %v, want ErrIndexClosed", err)
 		}
 	}()
 }

@@ -37,8 +37,12 @@ type KTree struct {
 	wpos   int
 
 	emitted []Row
-	es      obs.EvalSink
-	stats   statsCell
+	// gcAt is the last garbage-collection watermark, valid once gcRan.
+	gcAt  interval.Time
+	gcRan bool
+
+	sink  obs.Sink
+	stats statsCell
 }
 
 var _ Evaluator = (*KTree)(nil)
@@ -62,75 +66,33 @@ func NewKOrderedTree(f aggregate.Func, k int) (*KTree, error) {
 	return t, nil
 }
 
-func (t *KTree) setSink(s obs.Sink) {
-	if s == nil {
-		return // nil Sink: instrumentation disabled (obs.Sink contract)
-	}
-	t.es = s.Evaluator(KOrderedTree.String())
-	t.es.NodesAllocated(1) // the initial universe leaf
-}
+func (t *KTree) setSink(s obs.Sink) { t.sink = s }
 
 // K reports the orderedness bound the evaluator was built with.
 func (t *KTree) K() int { return t.k }
 
-// Add inserts one tuple and garbage-collects finished constant intervals.
-// It returns an error if the input violates the declared k-orderedness —
-// i.e. the tuple overlaps a constant interval that was already emitted.
+// Add inserts one tuple, updates stats, slides the window, and
+// garbage-collects finished constant intervals. It returns an error if the
+// input violates the declared k-orderedness — i.e. the tuple overlaps a
+// constant interval that was already emitted.
 func (t *KTree) Add(tu tuple.Tuple) error {
-	grown, err := t.addOne(tu)
-	if err != nil {
-		return err
-	}
-	if t.es != nil {
-		t.es.TuplesProcessed(1)
-		t.es.NodesAllocated(grown)
-	}
-	return nil
-}
-
-// AddBatch absorbs one page of tuples. Stats and garbage collection advance
-// tuple by tuple exactly as under Add (so peak-node accounting is identical);
-// only the sink's tuple/allocation counters are published once per page.
-func (t *KTree) AddBatch(ts []tuple.Tuple) error {
-	grown, added := 0, 0
-	var err error
-	for i := range ts {
-		var g int
-		if g, err = t.addOne(ts[i]); err != nil {
-			break
-		}
-		grown += g
-		added++
-	}
-	if t.es != nil {
-		t.es.TuplesProcessed(added)
-		t.es.NodesAllocated(grown)
-	}
-	return err
-}
-
-// addOne is the shared per-tuple path behind Add and AddBatch: insert,
-// update stats, slide the window, collect. It returns the node growth so
-// the caller can publish it to the sink at its own granularity.
-func (t *KTree) addOne(tu tuple.Tuple) (int, error) {
 	if err := tu.Valid.Validate(); err != nil {
-		return 0, err
+		return err
 	}
 	s, e := tu.Valid.Start, tu.Valid.End
 	if s < t.rootLo {
-		return 0, fmt.Errorf(
+		return fmt.Errorf(
 			"core: relation is not %d-ordered: tuple %v starts before already-emitted instant %s",
 			t.k, tu, interval.FormatTime(t.rootLo))
 	}
-	grown := treeInsert(t.f, &t.ar, t.root, t.rootLo, interval.Forever, s, e, tu.Value)
-	t.stats.grow(grown)
+	t.stats.grow(treeInsert(t.f, &t.ar, t.root, t.rootLo, interval.Forever, s, e, tu.Value))
 	t.stats.addTuple()
 
 	// Slide the 2k+1 window; once it is full, the evicted start time is the
 	// gc-threshold (the start of the tuple 2k+1 positions back).
 	if len(t.window) < cap(t.window) {
 		t.window = append(t.window, s)
-		return grown, nil
+		return nil
 	}
 	threshold := t.window[t.wpos]
 	t.window[t.wpos] = s
@@ -139,14 +101,22 @@ func (t *KTree) addOne(tu tuple.Tuple) (int, error) {
 		t.wpos = 0
 	}
 	t.collect(threshold)
-	return grown, nil
+	return nil
+}
+
+// AddBatch absorbs one page of tuples through Add.
+func (t *KTree) AddBatch(ts []tuple.Tuple) error {
+	for i := range ts {
+		if err := t.Add(ts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // collect reclaims every constant interval ending before threshold.
 func (t *KTree) collect(threshold interval.Time) {
-	if t.es != nil {
-		t.es.GCThreshold(int64(threshold))
-	}
+	t.gcAt, t.gcRan = threshold, true
 	// Phase 1 (Figure 5.a): while the root's entire left half lies before
 	// the threshold, emit it, fold the root's contribution into the right
 	// child, and promote the right child. The emitted subtree and the old
@@ -159,7 +129,7 @@ func (t *KTree) collect(threshold interval.Time) {
 		t.emitted = append(t.emitted, sub.Rows...)
 		leaves := len(t.emitted) - before
 		// A full binary subtree with L leaves has 2L-1 nodes; plus the root.
-		t.reclaim(2*leaves - 1 + 1)
+		t.stats.reclaim(2*leaves - 1 + 1)
 		old := t.root
 		old.right.state = t.f.Merge(old.right.state, old.state)
 		t.rootLo = old.split + 1
@@ -190,7 +160,7 @@ func (t *KTree) collect(threshold interval.Time) {
 		parent.right.state = t.f.Merge(parent.right.state, parent.state)
 		*link = parent.right
 		t.rootLo = parent.split + 1
-		t.reclaim(2)
+		t.stats.reclaim(2)
 		t.ar.recycle(parent.left)
 		t.ar.recycle(parent)
 	}
@@ -211,25 +181,18 @@ func (t *KTree) recycleSubtree(n *treeNode) {
 	}
 }
 
-func (t *KTree) reclaim(n int) {
-	t.stats.reclaim(n)
-	if t.es != nil {
-		t.es.NodesCollected(n)
-	}
-}
-
 // Finish emits the remainder of the tree after the already garbage-collected
-// prefix and returns the complete, time-ordered result.
+// prefix, publishes the run's counters, and returns the complete,
+// time-ordered result.
 func (t *KTree) Finish() (*Result, error) {
 	res := &Result{Func: t.f, Rows: t.emitted}
 	emitSubtree(t.f, t.root, t.rootLo, interval.Forever, t.f.Zero(), res)
 	t.root = nil
 	t.emitted = nil
-	slabs, reused := t.ar.release()
-	if t.es != nil {
-		t.es.PeakNodes(int(t.stats.peakNodes.Load()))
-		t.es.ArenaRelease(slabs, reused)
-	}
+	c := t.stats.counters()
+	c.GCThreshold, c.GC = int64(t.gcAt), t.gcRan
+	c.ArenaSlabs, c.ArenaReused = t.ar.release()
+	Publish(t.sink, KOrderedTree.String(), c)
 	return res, nil
 }
 

@@ -29,7 +29,7 @@ type List struct {
 	f     aggregate.Func
 	ar    arena[listNode]
 	head  *listNode
-	es    obs.EvalSink
+	sink  obs.Sink
 	stats statsCell
 }
 
@@ -45,51 +45,12 @@ func NewLinkedList(f aggregate.Func) *List {
 	return l
 }
 
-func (l *List) setSink(s obs.Sink) {
-	if s == nil {
-		return // nil Sink: instrumentation disabled (obs.Sink contract)
-	}
-	l.es = s.Evaluator(LinkedList.String())
-	l.es.NodesAllocated(1) // the initial universe node
-}
+func (l *List) setSink(s obs.Sink) { l.sink = s }
 
 // Add absorbs one tuple: the first and last overlapped constant intervals
 // are split at the tuple's start and end timestamps, then the tuple's value
 // is added to every overlapped interval's state.
 func (l *List) Add(t tuple.Tuple) error {
-	liveBefore := l.stats.liveNodes.Load()
-	if err := l.addOne(t); err != nil {
-		return err
-	}
-	if l.es != nil {
-		l.es.TuplesProcessed(1)
-		l.es.NodesAllocated(int(l.stats.liveNodes.Load() - liveBefore))
-	}
-	return nil
-}
-
-// AddBatch absorbs one page of tuples; per-tuple stats updates match Add,
-// with one sink publication per page.
-func (l *List) AddBatch(ts []tuple.Tuple) error {
-	liveBefore := l.stats.liveNodes.Load()
-	added := 0
-	var err error
-	for i := range ts {
-		if err = l.addOne(ts[i]); err != nil {
-			break
-		}
-		added++
-	}
-	if l.es != nil {
-		l.es.TuplesProcessed(added)
-		l.es.NodesAllocated(int(l.stats.liveNodes.Load() - liveBefore))
-	}
-	return err
-}
-
-// addOne is the shared per-tuple path behind Add and AddBatch: the sink
-// publication is left to the caller.
-func (l *List) addOne(t tuple.Tuple) error {
 	if err := t.Valid.Validate(); err != nil {
 		return err
 	}
@@ -119,6 +80,16 @@ func (l *List) addOne(t tuple.Tuple) error {
 	return nil
 }
 
+// AddBatch absorbs one page of tuples through Add.
+func (l *List) AddBatch(ts []tuple.Tuple) error {
+	for i := range ts {
+		if err := l.Add(ts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // split divides n into [n.Start, at] and [at+1, n.End]; both halves keep n's
 // state (the tuples counted so far overlapped the whole of n).
 func (l *List) split(n *listNode, at interval.Time) {
@@ -131,8 +102,8 @@ func (l *List) split(n *listNode, at interval.Time) {
 	l.stats.grow(1)
 }
 
-// Finish emits the constant intervals in time order, then returns the
-// arena's slabs to the shared pool.
+// Finish emits the constant intervals in time order, returns the arena's
+// slabs to the shared pool, and publishes the run's counters.
 func (l *List) Finish() (*Result, error) {
 	// Every list node is one constant interval, so the live count is exact.
 	res := &Result{Func: l.f, Rows: make([]Row, 0, int(l.stats.liveNodes.Load()))}
@@ -140,11 +111,9 @@ func (l *List) Finish() (*Result, error) {
 		res.Rows = append(res.Rows, Row{Interval: n.iv, State: n.state})
 	}
 	l.head = nil
-	slabs, reused := l.ar.release()
-	if l.es != nil {
-		l.es.PeakNodes(int(l.stats.peakNodes.Load()))
-		l.es.ArenaRelease(slabs, reused)
-	}
+	c := l.stats.counters()
+	c.ArenaSlabs, c.ArenaReused = l.ar.release()
+	Publish(l.sink, LinkedList.String(), c)
 	return res, nil
 }
 

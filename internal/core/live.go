@@ -184,7 +184,7 @@ type LiveEvaluator struct {
 	stats   statsCell
 	prefix  [5]livePrefix // indexed by aggregate.Kind
 
-	sink  obs.EvalSink
+	sink  obs.Sink
 	hook  func(LiveGauges)
 	seals atomic.Int64
 }
@@ -199,18 +199,10 @@ func NewLive(opts LiveOptions) *LiveEvaluator {
 	return e
 }
 
-// setSink implements sinkSetter: tuple counts publish through the standard
-// evaluator event path under the "live" algorithm label.
-func (e *LiveEvaluator) setSink(s obs.Sink) {
-	if s == nil {
-		return
-	}
-	e.sink = s.Evaluator("live")
-}
-
-// SetSink attaches an observability sink; see obs.Sink. Safe only before
-// ingestion starts.
-func (e *LiveEvaluator) SetSink(s obs.Sink) { e.setSink(s) }
+// SetSink attaches an observability sink: every ingested batch publishes
+// one record of its tuple count under the "live" algorithm label. Safe
+// only before ingestion starts.
+func (e *LiveEvaluator) SetSink(s obs.Sink) { e.sink = s }
 
 // SetGaugeHook installs the epoch-telemetry callback, invoked after every
 // AddBatch (and every seal) with the current seqno, segment count, and tail
@@ -263,9 +255,7 @@ func (e *LiveEvaluator) AddBatch(ts []tuple.Tuple) error {
 			st.tail.n.Store(w + 1)
 		}
 	}
-	if e.sink != nil {
-		e.sink.TuplesProcessed(len(ts))
-	}
+	Publish(e.sink, "live", obs.EvalCounters{Tuples: len(ts)})
 	e.publishLocked()
 	return nil
 }

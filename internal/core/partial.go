@@ -5,20 +5,10 @@
 // form: the (count, sum) counters that reconstitute COUNT/SUM/AVG under
 // aggregate.FromCounters plus the wedge extrema that reconstitute MIN/MAX —
 // one partial serves all five aggregate kinds, so a single index answers
-// every select list. The canonical varint encoding below is the
-// serialization format the ROADMAP names as the unlock for result caching,
-// spill-to-disk, and distributed scatter/gather: two encoders can never
-// disagree on the bytes of the same partial, so encoded partials compare
-// and deduplicate byte-wise.
+// every select list.
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"tempagg/internal/aggregate"
-)
+import "tempagg/internal/aggregate"
 
 // IndexPartial is one interval-index node's decomposable partial state
 // over the tuples assigned to that node: how many there are, their value
@@ -83,88 +73,4 @@ func (p IndexPartial) State(f aggregate.Func) aggregate.State {
 		ext = p.Max
 	}
 	return f.FromCounters(p.Count, p.Sum, ext)
-}
-
-// AppendBinary appends the partial's canonical encoding to dst and returns
-// the extended slice: the count as an unsigned varint, then — only when
-// the partial is non-empty — sum, min, and max as zigzag varints. The
-// empty partial is the single byte 0x00. Every partial has exactly one
-// encoding; DecodeIndexPartial rejects all others.
-func (p IndexPartial) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(p.Count))
-	if p.Count == 0 {
-		return dst
-	}
-	dst = binary.AppendVarint(dst, p.Sum)
-	dst = binary.AppendVarint(dst, p.Min)
-	dst = binary.AppendVarint(dst, p.Max)
-	return dst
-}
-
-// DecodeIndexPartial decodes one partial from the front of b, returning it
-// and the bytes consumed. It enforces canonical form — minimal varints, no
-// trailing counter fields on an empty partial, Min ≤ Max, and a
-// single-tuple partial's Sum = Min = Max — so decode(encode(p)) == p and
-// re-encoding the decoded partial reproduces the input bytes exactly.
-func DecodeIndexPartial(b []byte) (IndexPartial, int, error) {
-	count, n, err := decodeUvarint(b)
-	if err != nil {
-		return IndexPartial{}, 0, fmt.Errorf("core: partial count: %w", err)
-	}
-	if count > math.MaxInt64 {
-		return IndexPartial{}, 0, fmt.Errorf("core: partial count %d overflows int64", count)
-	}
-	if count == 0 {
-		return IndexPartial{}, n, nil
-	}
-	p := IndexPartial{Count: int64(count)}
-	off := n
-	for _, field := range []struct {
-		name string
-		dst  *int64
-	}{{"sum", &p.Sum}, {"min", &p.Min}, {"max", &p.Max}} {
-		v, n, err := decodeVarint(b[off:])
-		if err != nil {
-			return IndexPartial{}, 0, fmt.Errorf("core: partial %s: %w", field.name, err)
-		}
-		*field.dst = v
-		off += n
-	}
-	if p.Min > p.Max {
-		return IndexPartial{}, 0, fmt.Errorf("core: partial min %d > max %d", p.Min, p.Max)
-	}
-	if p.Count == 1 && (p.Sum != p.Min || p.Min != p.Max) {
-		return IndexPartial{}, 0, fmt.Errorf("core: single-tuple partial with sum %d, min %d, max %d", p.Sum, p.Min, p.Max)
-	}
-	return p, off, nil
-}
-
-// decodeUvarint reads one minimally-encoded unsigned varint. A non-minimal
-// encoding — one whose final byte is a zero continuation pad — is rejected
-// so each value has exactly one accepted byte form.
-func decodeUvarint(b []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(b)
-	if n == 0 {
-		return 0, 0, fmt.Errorf("truncated varint")
-	}
-	if n < 0 {
-		return 0, 0, fmt.Errorf("varint overflows 64 bits")
-	}
-	if n > 1 && b[n-1] == 0 {
-		return 0, 0, fmt.Errorf("non-minimal varint")
-	}
-	return v, n, nil
-}
-
-// decodeVarint is decodeUvarint for zigzag-encoded signed varints.
-func decodeVarint(b []byte) (int64, int, error) {
-	u, n, err := decodeUvarint(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v, n, nil
 }

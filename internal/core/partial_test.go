@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -23,54 +22,6 @@ func randomPartial(r *rand.Rand) IndexPartial {
 		p.add(r.Int63n(2001) - 1000)
 	}
 	return p
-}
-
-// TestPartialRoundTrip pins the canonical encoding: decode(encode(p)) == p,
-// the byte count is exact, and re-encoding reproduces the bytes.
-func TestPartialRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		p := randomPartial(r)
-		enc := p.AppendBinary(nil)
-		got, n, err := DecodeIndexPartial(enc)
-		if err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
-		if n != len(enc) {
-			t.Fatalf("%+v: consumed %d of %d bytes", p, n, len(enc))
-		}
-		if got != p {
-			t.Fatalf("round-trip: got %+v, want %+v", got, p)
-		}
-		if !bytes.Equal(got.AppendBinary(nil), enc) {
-			t.Fatalf("%+v: re-encoding differs", p)
-		}
-	}
-}
-
-// TestPartialDecodeRejects enumerates the non-canonical forms the decoder
-// must refuse: truncation, non-minimal varints, inconsistent single-tuple
-// counters, and inverted extrema.
-func TestPartialDecodeRejects(t *testing.T) {
-	cases := []struct {
-		name string
-		b    []byte
-	}{
-		{"empty input", nil},
-		{"truncated count", []byte{0x80}},
-		{"non-minimal count", []byte{0x80, 0x00}},
-		{"count without fields", []byte{0x01}},
-		{"truncated sum", []byte{0x02, 0x80}},
-		{"non-minimal sum", append([]byte{0x02}, 0x84, 0x00, 0x02, 0x02)},
-		{"min above max", IndexPartial{Count: 2, Sum: 0, Min: 5, Max: -5}.AppendBinary(nil)},
-		{"single-tuple sum mismatch", IndexPartial{Count: 1, Sum: 9, Min: 2, Max: 2}.AppendBinary(nil)},
-		{"count overflows int64", append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 0x02, 0x02, 0x02)},
-	}
-	for _, tc := range cases {
-		if _, _, err := DecodeIndexPartial(tc.b); err == nil {
-			t.Errorf("%s: accepted % x", tc.name, tc.b)
-		}
-	}
 }
 
 // TestMergePartialsAlgebra pins the merge algebra the index relies on:

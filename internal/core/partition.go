@@ -40,9 +40,9 @@ type PartitionOptions struct {
 	// below 2 mean serial evaluation (a single worker). Peak memory scales
 	// with the worker count. See partitionWorkers for the exact resolution.
 	Parallel int
-	// Sink, when non-nil, receives each partition tree's evaluator events
-	// (tuple, allocation, and arena-release counters), so a partitioned or
-	// streaming evaluation can be scraped mid-flight like any other run.
+	// Sink, when non-nil, receives each partition evaluator's counters
+	// record as the partition finishes, so a partitioned or streaming
+	// evaluation shows up shard by shard like any other run.
 	Sink obs.Sink
 	// Sweep evaluates each partition with the columnar event sweep
 	// (NewSweepRange) instead of an aggregation tree. The planner sets it
@@ -357,9 +357,7 @@ func evaluateBucket(f aggregate.Func, span interval.Interval, b buckets, i int, 
 	} else {
 		ev = NewAggregationTreeRange(f, span)
 	}
-	if opts.Sink != nil {
-		ev.(sinkSetter).setSink(opts.Sink)
-	}
+	ev.(sinkSetter).setSink(opts.Sink)
 	if err := b.drain(i, ev.AddBatch); err != nil {
 		return nil, 0, err
 	}

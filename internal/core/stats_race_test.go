@@ -73,46 +73,163 @@ func TestStatsConcurrentSnapshot(t *testing.T) {
 	}
 }
 
-// TestObservedRunMatchesStats checks the acceptance identity: the counters
-// an evaluator publishes through obs.Sink agree with the core.Stats the
-// same run returns — allocated = LiveNodes + Collected (the initial node
-// included), tuples and collected match exactly, and the peak gauge holds
-// the high-water mark.
+// TestObservedRunMatchesStats checks the acceptance identity: the one
+// counters record an evaluator publishes through obs.Sink agrees, series
+// by series, with the counters the same run keeps — allocated = LiveNodes
+// + Collected (the initial node included), tuples and collected match
+// exactly, the peak gauge holds the high-water mark, and the arena, sweep,
+// worker-histogram and GC series hold the run's own figures. The sweep
+// rows run over reversed input so the radix sort has work to do; the MIN
+// rows take the wedge path, and the fallback row forces the wedge's
+// aggregation-tree fallback, whose run records under its own label.
 func TestObservedRunMatchesStats(t *testing.T) {
-	specs := []Spec{
-		{Algorithm: LinkedList},
-		{Algorithm: AggregationTree},
-		{Algorithm: KOrderedTree, K: 1},
-		{Algorithm: BalancedTree},
-	}
 	ts := raceTuples(500)
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec.Algorithm.String(), func(t *testing.T) {
+	rev := make([]tuple.Tuple, len(ts))
+	for i := range ts {
+		rev[len(ts)-1-i] = ts[i]
+	}
+	rows := []struct {
+		name       string
+		spec       Spec
+		kind       aggregate.Kind
+		ts         []tuple.Tuple
+		wedgeBound int
+	}{
+		{"linked-list", Spec{Algorithm: LinkedList}, aggregate.Count, ts, 0},
+		{"aggregation-tree", Spec{Algorithm: AggregationTree}, aggregate.Count, ts, 0},
+		{"k-ordered-tree", Spec{Algorithm: KOrderedTree, K: 1}, aggregate.Count, ts, 0},
+		{"balanced-tree", Spec{Algorithm: BalancedTree}, aggregate.Count, ts, 0},
+		{"sweep", Spec{Algorithm: SweepEval, Parallel: 1}, aggregate.Count, rev, 0},
+		{"sweep-parallel-2", Spec{Algorithm: SweepEval, Parallel: 2}, aggregate.Count, rev, 0},
+		{"sweep-min", Spec{Algorithm: SweepEval, Parallel: 1}, aggregate.Min, rev, 0},
+		{"sweep-min-parallel-2", Spec{Algorithm: SweepEval, Parallel: 2}, aggregate.Min, rev, 0},
+		{"sweep-min-fallback", Spec{Algorithm: SweepEval, Parallel: 1}, aggregate.Min, rev, 2},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
 			m := obs.NewMetrics(obs.NewRegistry())
-			_, stats, err := RunObserved(spec, aggregate.For(aggregate.Count), ts, m)
+			ev, err := NewObserved(row.spec, aggregate.For(row.kind), m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			alg := spec.Algorithm.String()
+			for lo := 0; lo < len(row.ts); lo += BatchPage {
+				if err := ev.AddBatch(row.ts[lo:min(lo+BatchPage, len(row.ts))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The run's own counters. Tree arenas reset on release, so their
+			// figures are read before Finish, which allocates no nodes.
+			var want obs.EvalCounters
+			switch e := ev.(type) {
+			case *List:
+				want.ArenaSlabs, want.ArenaReused = len(e.ar.slabs), e.ar.freed
+			case *Tree:
+				want.ArenaSlabs, want.ArenaReused = len(e.ar.slabs), e.ar.freed
+			case *KTree:
+				want.ArenaSlabs, want.ArenaReused = len(e.ar.slabs), e.ar.freed
+			case *BTree:
+				want.ArenaSlabs, want.ArenaReused = len(e.ar.slabs), e.ar.freed
+			case *Sweep:
+				e.WedgeBound = row.wedgeBound
+			}
+			if _, err := ev.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			stats := ev.Stats()
+			switch e := ev.(type) {
+			case *KTree:
+				if !e.gcRan {
+					t.Fatal("k-ordered tree never collected; the GC series is untested")
+				}
+				want.GCThreshold = int64(e.gcAt)
+			case *Sweep:
+				want.ArenaSlabs, want.ArenaReused = e.ar.counters()
+				want.SweepEvents, want.SweepRadixPasses, want.SweepFallbacks = e.events, e.radixPasses, e.fallbacks
+				want.SweepWorkers, want.SweepChunks = e.parallelWorkers, e.chunks
+				if row.spec.Parallel != want.SweepWorkers {
+					t.Fatalf("sweep ran %d workers, want %d", want.SweepWorkers, row.spec.Parallel)
+				}
+				if want.SweepFallbacks != min(row.wedgeBound, 1) {
+					t.Fatalf("sweep fell back %d times, want %d", want.SweepFallbacks, min(row.wedgeBound, 1))
+				}
+			}
+			alg := row.spec.Algorithm.String()
 			reg := m.Registry()
-			get := func(name string) int64 {
+			counter := func(name string) int64 {
 				return reg.CounterVec(name, "", "algorithm").With(alg).Value()
 			}
-			if got := get(obs.MetricTuplesProcessed); got != int64(stats.Tuples) {
-				t.Errorf("tuples metric = %d, stats = %d", got, stats.Tuples)
+			gauge := func(name string) int64 {
+				return reg.GaugeVec(name, "", "algorithm").With(alg).Value()
 			}
-			if got, want := get(obs.MetricNodesAllocated), int64(stats.LiveNodes+stats.Collected); got != want {
-				t.Errorf("allocated metric = %d, stats live+collected = %d", got, want)
+			for _, c := range []struct {
+				series    string
+				got, want int64
+			}{
+				{obs.MetricTuplesProcessed, counter(obs.MetricTuplesProcessed), int64(stats.Tuples)},
+				{obs.MetricNodesAllocated, counter(obs.MetricNodesAllocated), int64(stats.LiveNodes + stats.Collected)},
+				{obs.MetricNodesCollected, counter(obs.MetricNodesCollected), int64(stats.Collected)},
+				{obs.MetricPeakNodes, gauge(obs.MetricPeakNodes), int64(stats.PeakNodes)},
+				{obs.MetricGCThreshold, gauge(obs.MetricGCThreshold), want.GCThreshold},
+				{obs.MetricArenaSlabs, counter(obs.MetricArenaSlabs), int64(want.ArenaSlabs)},
+				{obs.MetricArenaReused, counter(obs.MetricArenaReused), int64(want.ArenaReused)},
+				{obs.MetricSweepEvents, counter(obs.MetricSweepEvents), int64(want.SweepEvents)},
+				{obs.MetricSweepRadix, counter(obs.MetricSweepRadix), int64(want.SweepRadixPasses)},
+				{obs.MetricSweepFallbacks, counter(obs.MetricSweepFallbacks), int64(want.SweepFallbacks)},
+				{obs.MetricSweepChunks, counter(obs.MetricSweepChunks), int64(want.SweepChunks)},
+				{obs.MetricIndexNodes, gauge(obs.MetricIndexNodes), 0},
+				{obs.MetricIndexLookups, counter(obs.MetricIndexLookups), 0},
+				{obs.MetricIndexMerges, counter(obs.MetricIndexMerges), 0},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s = %d, run's own counter = %d", c.series, c.got, c.want)
+				}
 			}
-			if got := get(obs.MetricNodesCollected); got != int64(stats.Collected) {
-				t.Errorf("collected metric = %d, stats = %d", got, stats.Collected)
+			h := reg.HistogramVec(obs.MetricSweepWorkers, "", obs.WorkerBuckets, "algorithm").With(alg)
+			// One observation per sweep scan, none for the tree evaluators.
+			if n := min(want.SweepWorkers, 1); h.Count() != int64(n) || h.Sum() != float64(want.SweepWorkers) {
+				t.Errorf("%s count/sum = %d/%g, want %d/%d", obs.MetricSweepWorkers, h.Count(), h.Sum(), n, want.SweepWorkers)
 			}
-			peak := reg.GaugeVec(obs.MetricPeakNodes, "", "algorithm").With(alg).Value()
-			if peak != int64(stats.PeakNodes) {
-				t.Errorf("peak gauge = %d, stats = %d", peak, stats.PeakNodes)
+			if row.wedgeBound > 0 {
+				fallbackTuples := reg.CounterVec(obs.MetricTuplesProcessed, "", "algorithm").With(AggregationTree.String()).Value()
+				if fallbackTuples != int64(len(row.ts)) {
+					t.Errorf("fallback tree recorded %d tuples, want %d", fallbackTuples, len(row.ts))
+				}
 			}
 		})
+	}
+}
+
+// TestSetSinkNilSafe pins the obs.Sink contract at the evaluator boundary:
+// a nil Sink means "instrumentation disabled", so setSink(nil) must leave
+// every evaluator's Add/Finish cycle running with observability off.
+func TestSetSinkNilSafe(t *testing.T) {
+	f := aggregate.For(aggregate.Sum)
+	kt, err := NewKOrderedTree(f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluators := map[string]Evaluator{
+		"linked-list":      NewLinkedList(f),
+		"aggregation-tree": NewAggregationTree(f),
+		"balanced-tree":    NewBalancedTree(f),
+		"k-ordered-tree":   kt,
+		"sweep":            NewSweep(f),
+	}
+	for name, ev := range evaluators {
+		ss, ok := ev.(sinkSetter)
+		if !ok {
+			t.Errorf("%s: evaluator does not implement sinkSetter", name)
+			continue
+		}
+		ss.setSink(nil)
+		for i := int64(0); i < 4; i++ {
+			if err := ev.Add(mustTuple(t, "x", 1, interval.Time(i), interval.Time(i+10))); err != nil {
+				t.Fatalf("%s: Add with nil sink: %v", name, err)
+			}
+		}
+		if _, err := ev.Finish(); err != nil {
+			t.Fatalf("%s: Finish with nil sink: %v", name, err)
+		}
 	}
 }
 

@@ -64,6 +64,28 @@ func (c *statsCell) snapshot() Stats {
 	}
 }
 
+// counters assembles the evaluator-family record of the run so far:
+// allocated nodes are live plus collected, the initial node included.
+func (c *statsCell) counters() obs.EvalCounters {
+	st := c.snapshot()
+	return obs.EvalCounters{
+		Tuples:         st.Tuples,
+		NodesAllocated: st.LiveNodes + st.Collected,
+		NodesCollected: st.Collected,
+		PeakNodes:      st.PeakNodes,
+	}
+}
+
+// Publish hands one run's counters to s under the algorithm label. It is
+// the only place core calls a Sink: evaluators publish once at the end of
+// Finish, so nothing on the per-tuple path touches one. A nil s means
+// instrumentation is disabled, and Publish does nothing.
+func Publish(s obs.Sink, algorithm string, c obs.EvalCounters) {
+	if s != nil {
+		s.Record(algorithm, c)
+	}
+}
+
 // sinkSetter is implemented by evaluators that can publish their counters
 // to an observability sink; NewObserved uses it after construction.
 type sinkSetter interface {
@@ -87,10 +109,10 @@ func SetTraceContext(ev Evaluator, ctx obs.TraceContext) {
 	}
 }
 
-// NewObserved is New with an observability sink attached: the evaluator
-// publishes tuple, node-allocation, garbage-collection, and peak-memory
-// events to s as it runs (the counters behind the paper's §6 cost model).
-// A nil s is equivalent to New.
+// NewObserved is New with an observability sink attached: Finish
+// publishes the run's tuple, node-allocation, garbage-collection, and
+// peak-memory counters to s in one record (the counters behind the paper's
+// §6 cost model). A nil s is equivalent to New.
 func NewObserved(spec Spec, f aggregate.Func, s obs.Sink) (Evaluator, error) {
 	ev, err := New(spec, f)
 	if err != nil || s == nil {

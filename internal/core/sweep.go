@@ -34,7 +34,7 @@ import (
 // stacked over the same instants) can grow the wedge without bound, so when
 // it exceeds WedgeBound the run abandons the sweep and rebuilds through
 // NewAggregationTreeRange from the buffered columns; the fallback is counted
-// on the obs sink (tempagg_sweep_fallbacks_total).
+// in the run's counters record (tempagg_sweep_fallbacks_total).
 //
 // Space accounting stays in the paper's §6.2 currency of 16-byte nodes: an
 // event is a (timestamp, value) pair — exactly one node — and a buffered
@@ -76,7 +76,6 @@ type Sweep struct {
 	chunks          int
 
 	sink  obs.Sink
-	es    obs.EvalSink
 	stats statsCell
 }
 
@@ -104,13 +103,7 @@ func NewSweepRange(f aggregate.Func, span interval.Interval) *Sweep {
 	}
 }
 
-func (s *Sweep) setSink(snk obs.Sink) {
-	s.sink = snk
-	if snk == nil {
-		return // nil Sink: instrumentation disabled (obs.Sink contract)
-	}
-	s.es = snk.Evaluator(SweepEval.String())
-}
+func (s *Sweep) setSink(snk obs.Sink) { s.sink = snk }
 
 // setTrace attaches the span-propagation context (traceSetter); Finish then
 // records its sort/scan/emit stages as child spans.
@@ -151,37 +144,17 @@ func (s *Sweep) Add(tu tuple.Tuple) error {
 	grown := s.add(iv, tu.Value)
 	s.stats.grow(grown)
 	s.stats.addTuple()
-	if s.es != nil {
-		s.es.TuplesProcessed(1)
-		s.es.NodesAllocated(grown)
-	}
 	return nil
 }
 
-// AddBatch absorbs one page of tuples; per-tuple work matches Add, with the
-// sink publication batched to one event pair per page.
+// AddBatch absorbs one page of tuples through Add.
 func (s *Sweep) AddBatch(ts []tuple.Tuple) error {
-	grown, added := 0, 0
-	var err error
 	for i := range ts {
-		if err = ts[i].Valid.Validate(); err != nil {
-			break
+		if err := s.Add(ts[i]); err != nil {
+			return err
 		}
-		iv, ok := ts[i].Valid.Intersect(s.span)
-		if !ok {
-			continue
-		}
-		g := s.add(iv, ts[i].Value)
-		s.stats.grow(g)
-		s.stats.addTuple()
-		grown += g
-		added++
 	}
-	if s.es != nil {
-		s.es.TuplesProcessed(added)
-		s.es.NodesAllocated(grown)
-	}
-	return err
+	return nil
 }
 
 // Finish sorts the event columns, runs the merge scan, recycles every
@@ -202,16 +175,14 @@ func (s *Sweep) Finish() (*Result, error) {
 	}
 	s.sTimes, s.sVals, s.eTimes, s.eVals = nil, nil, nil, nil
 	s.starts, s.ends, s.vals = nil, nil, nil
-	cols, reused := s.ar.counters()
 	if s.parallelWorkers == 0 {
 		s.parallelWorkers, s.chunks = 1, 1
 	}
-	if s.es != nil {
-		s.es.PeakNodes(int(s.stats.peakNodes.Load()))
-		s.es.ArenaRelease(cols, reused)
-		s.es.Sweep(s.events, s.radixPasses, s.fallbacks)
-		s.es.SweepParallel(s.parallelWorkers, s.chunks)
-	}
+	c := s.stats.counters()
+	c.ArenaSlabs, c.ArenaReused = s.ar.counters()
+	c.SweepEvents, c.SweepRadixPasses, c.SweepFallbacks = s.events, s.radixPasses, s.fallbacks
+	c.SweepWorkers, c.SweepChunks = s.parallelWorkers, s.chunks
+	Publish(s.sink, SweepEval.String(), c)
 	return res, err
 }
 
@@ -417,9 +388,7 @@ func (s *Sweep) wedgeState(w *wedge, count, sum, cur int64) aggregate.State {
 func (s *Sweep) fallback() (*Result, error) {
 	s.fallbacks++
 	tr := NewAggregationTreeRange(s.f, s.span)
-	if s.sink != nil {
-		tr.setSink(s.sink)
-	}
+	tr.setSink(s.sink)
 	var page [BatchPage]tuple.Tuple
 	for lo := 0; lo < len(s.starts); lo += BatchPage {
 		n := min(BatchPage, len(s.starts)-lo)

@@ -7,7 +7,7 @@ import (
 
 // An intraprocedural control-flow graph over one function body, the
 // substrate for the flow-sensitive analyzers (arenaescape, poolbalance,
-// unlockpath, sinknil). The builder lowers Go's structured control flow
+// unlockpath). The builder lowers Go's structured control flow
 // into basic blocks of ast.Node slices connected by successor edges; the
 // worklist solver in dataflow.go then pushes per-analyzer lattice facts
 // through it.

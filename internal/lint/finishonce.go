@@ -27,8 +27,8 @@ import (
 // every textually-later use, so the blessed lifecycle idiom stays clean.
 //
 // core.IntervalIndex and core.ResultCache (S37) follow the LiveEvaluator
-// pattern: Close is terminal, so lookups (At/Range/Result/MarshalBinary on
-// the index, Get/Put on the cache) after Close are flagged, as is a second
+// pattern: Close is terminal, so lookups (At/Range/Result on the index,
+// Get/Put on the cache) after Close are flagged, as is a second
 // Close. Both fail dynamically too (ErrIndexClosed; the cache goes inert),
 // but an inert cache silently misses every Get — a performance bug no test
 // asserts on, which is exactly what a static check is for.
@@ -74,7 +74,7 @@ func runFinishOnce(pass *Pass, strictStats bool) error {
 	}{
 		{"LiveEvaluator", []string{"Add", "AddBatch", "Snapshot", "Stats"},
 			"live evaluator must not be used after Close"},
-		{"IntervalIndex", []string{"At", "Range", "Result", "MarshalBinary"},
+		{"IntervalIndex", []string{"At", "Range", "Result"},
 			"interval index must not be used after Close"},
 		{"ResultCache", []string{"Get", "Put", "Stats"},
 			"result cache must not be used after Close"},

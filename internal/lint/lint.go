@@ -88,7 +88,7 @@ type Config struct {
 }
 
 // Analyzers returns the full suite under cfg: the five syntactic/type
-// checks plus the five CFG/dataflow analyzers (cfg.go, dataflow.go).
+// checks plus the four CFG/dataflow analyzers (cfg.go, dataflow.go).
 func Analyzers(cfg Config) []*Analyzer {
 	return []*Analyzer{
 		IntervalBounds,
@@ -100,7 +100,6 @@ func Analyzers(cfg Config) []*Analyzer {
 		PoolBalance,
 		AtomicMix,
 		UnlockPath,
-		SinkNil,
 	}
 }
 

@@ -1,7 +1,7 @@
-// Fixture for errdrop over the observability surface: obs.Sink.Flush,
-// SlowLog.Record, and Registry.WritePrometheus all report write failures
-// that vanish silently if dropped — a metrics endpoint that "works" while
-// losing scrapes is worse than none.
+// Fixture for errdrop over the observability surface: SlowLog.Record and
+// Registry.WritePrometheus both report write failures that vanish silently
+// if dropped — a metrics endpoint that "works" while losing scrapes is
+// worse than none.
 package fixture
 
 import (
@@ -11,13 +11,6 @@ import (
 	"tempagg/internal/obs"
 )
 
-func sinkErrors(s obs.Sink) {
-	s.Flush()       // want `error result of \(obs\.Sink\)\.Flush is discarded`
-	_ = s.Flush()   // want `error result of \(obs\.Sink\)\.Flush is assigned to _`
-	go s.Flush()    // want `error result of \(obs\.Sink\)\.Flush is discarded by go`
-	defer s.Flush() // want `error result of \(obs\.Sink\)\.Flush is discarded by defer`
-}
-
 func slowLogErrors(sl *obs.SlowLog, tr *obs.QueryTrace) {
 	sl.Record(tr)              // want `error result of \(obs\.SlowLog\)\.Record is discarded`
 	logged, _ := sl.Record(tr) // want `error result of \(obs\.SlowLog\)\.Record is assigned to _`
@@ -25,19 +18,19 @@ func slowLogErrors(sl *obs.SlowLog, tr *obs.QueryTrace) {
 }
 
 func registryErrors(r *obs.Registry, w io.Writer) {
-	r.WritePrometheus(w) // want `error result of \(obs\.Registry\)\.WritePrometheus is discarded`
+	r.WritePrometheus(w)       // want `error result of \(obs\.Registry\)\.WritePrometheus is discarded`
+	_ = r.WritePrometheus(w)   // want `error result of \(obs\.Registry\)\.WritePrometheus is assigned to _`
+	go r.WritePrometheus(w)    // want `error result of \(obs\.Registry\)\.WritePrometheus is discarded by go`
+	defer r.WritePrometheus(w) // want `error result of \(obs\.Registry\)\.WritePrometheus is discarded by defer`
 }
 
 func observabilityHandled(s obs.Sink, sl *obs.SlowLog, tr *obs.QueryTrace, r *obs.Registry) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
 	if logged, err := sl.Record(tr); logged && err != nil {
 		return err
 	}
 	if err := r.WritePrometheus(os.Stderr); err != nil {
 		return err
 	}
-	s.Evaluator("linked-list").TuplesProcessed(1) // ok: the hot-path sink has no error results
+	s.Record("linked-list", obs.EvalCounters{Tuples: 1}) // ok: the sink has no error results
 	return nil
 }

@@ -137,9 +137,9 @@ func indexDoubleClose(idx *core.IntervalIndex) {
 	_ = idx.Close() // want `Close called twice on idx`
 }
 
-func indexMarshalAfterClose(idx *core.IntervalIndex) ([]byte, error) {
+func indexAtAfterClose(idx *core.IntervalIndex, f aggregate.Func) (*core.Result, error) {
 	_ = idx.Close()
-	return idx.MarshalBinary() // want `MarshalBinary called on idx after Close`
+	return idx.At(f, 7) // want `At called on idx after Close`
 }
 
 func indexDeferredClose(ts []tuple.Tuple, f aggregate.Func) (*core.Result, error) {

@@ -7,9 +7,9 @@
 // scanned, structure nodes resident, nodes reclaimed by garbage collection,
 // and the 16-bytes-per-node constant behind core.NodeBytes. This package
 // makes the running system report those same quantities continuously: core
-// evaluators publish node-level events through the narrow Sink interface,
-// the query layer wraps each query in a QueryTrace, and the server exposes
-// everything over /metrics and /debug/traces.
+// evaluators publish one counters record per run through the narrow Sink
+// interface, the query layer wraps each query in a QueryTrace, and the
+// server exposes everything over /metrics and /debug/traces.
 //
 // Everything here is nil-safe by design: a nil *Observer, *QueryTrace,
 // *Span, or *SlowLog is the disabled state, and every method on them is a

@@ -2,65 +2,65 @@ package obs
 
 import "time"
 
-// Sink receives low-level evaluator events from internal/core. It is the
-// only observability type core depends on; everything else in this package
-// sits above the query layer. Implementations must be safe for concurrent
-// use — the server runs one evaluator set per connection.
+// Sink receives evaluator counters from internal/core. It is the only
+// observability type core depends on; everything else in this package sits
+// above the query layer. Implementations must be safe for concurrent use —
+// the server runs one evaluator set per connection.
 //
-// A nil Sink disables instrumentation: core checks the interface for nil
-// once per evaluator and keeps a nil EvalSink handle, so the per-tuple cost
-// of disabled observability is a single pointer comparison.
+// A nil Sink disables instrumentation. Core publishes through one helper
+// (core.Publish) that checks for nil, so no evaluator calls a Sink itself.
 type Sink interface {
-	// Evaluator returns the event handle for one evaluator run of the named
-	// algorithm (the core.Algorithm String form). Resolving the handle once
-	// per evaluator keeps label lookups out of the per-tuple path.
-	Evaluator(algorithm string) EvalSink
-	// Flush delivers any buffered events. Implementations that write
-	// asynchronously must report delivery failures here; callers must not
-	// drop the error (tempagglint's errdrop analyzer enforces this for all
-	// tempagg APIs, this one included).
-	Flush() error
+	// Record publishes one evaluator run's counters under the named
+	// algorithm (the core.Algorithm String form). Evaluators record once,
+	// at the end of Finish; the interval index once per build and once per
+	// lookup; the live evaluator once per ingested batch. Counters of a
+	// run in flight are therefore not visible until it ends.
+	Record(algorithm string, c EvalCounters)
 }
 
-// EvalSink receives the per-evaluator events behind the paper's §6 cost
-// model. Methods must be cheap: they sit on the Add hot path.
-type EvalSink interface {
-	// TuplesProcessed counts tuples absorbed (core.Stats.Tuples).
-	TuplesProcessed(n int)
+// EvalCounters is one run's counters behind the paper's §6 cost model, one
+// field per evaluator-family series of Metrics. Zero fields record nothing
+// beyond the series' existence.
+type EvalCounters struct {
+	// Tuples counts tuples absorbed (core.Stats.Tuples).
+	Tuples int
 	// NodesAllocated counts structure nodes created, including the initial
-	// root/universe leaf (cumulative; core.Stats.LiveNodes + Collected).
-	NodesAllocated(n int)
+	// root/universe leaf (core.Stats.LiveNodes + Collected).
+	NodesAllocated int
 	// NodesCollected counts nodes reclaimed by garbage collection
 	// (core.Stats.Collected; k-ordered tree only).
-	NodesCollected(n int)
-	// PeakNodes reports a high-water mark of live nodes
-	// (core.Stats.PeakNodes); the sink keeps the maximum it has seen.
-	PeakNodes(n int)
-	// GCThreshold reports the latest garbage-collection watermark — the
-	// instant below which every constant interval has been emitted (§5.3).
-	GCThreshold(t int64)
-	// ArenaRelease reports one evaluator teardown of the slab arena
+	NodesCollected int
+	// PeakNodes is the run's high-water mark of live nodes
+	// (core.Stats.PeakNodes); the gauge keeps the maximum over runs.
+	PeakNodes int
+	// GCThreshold is the last garbage-collection watermark — the instant
+	// below which every constant interval has been emitted (§5.3). It is
+	// recorded only when GC is set, so a run that never collected leaves
+	// the gauge as it was.
+	GCThreshold int64
+	GC          bool
+	// ArenaSlabs and ArenaReused describe the slab arena's teardown
 	// (internal/core/arena.go): slabs returned to the shared pool and nodes
-	// that were served from the arena free list over the run.
-	ArenaRelease(slabs, reusedNodes int)
-	// Sweep reports one columnar-sweep run (internal/core/sweep.go): delta
-	// events materialized, non-trivial radix scatter passes, and tree
-	// fallbacks taken by the MIN/MAX wedge (0 or 1 per run). Called once at
-	// Finish, off the per-tuple path.
-	Sweep(events, radixPasses, fallbacks int)
-	// SweepParallel reports one sweep scan's parallelism: worker goroutines
-	// resolved and chunks the event stream was cut into (1 and 1 for a
-	// serial run). Called once at Finish alongside Sweep. Worker counts are
-	// recorded as one histogram observation per scan, so concurrent queries
-	// with different parallelism never overwrite each other.
-	SweepParallel(workers, chunks int)
-	// IndexBuild reports one interval-index construction (S37): segment-tree
-	// node slots materialized and tuples indexed. Called once per build.
-	IndexBuild(nodes, tuples int)
-	// IndexLookup reports one index-served range or point lookup and the
-	// node-partial merges performed to answer it — the lookup's cost in the
-	// paper's §6 currency.
-	IndexLookup(merges int)
+	// served from the arena free list over the run.
+	ArenaSlabs, ArenaReused int
+	// SweepEvents, SweepRadixPasses and SweepFallbacks describe one
+	// columnar-sweep run (internal/core/sweep.go): delta events
+	// materialized, non-trivial radix scatter passes, and tree fallbacks
+	// taken by the MIN/MAX wedge (0 or 1 per run).
+	SweepEvents, SweepRadixPasses, SweepFallbacks int
+	// SweepWorkers and SweepChunks describe one sweep scan's parallelism:
+	// worker goroutines resolved and chunks the event stream was cut into
+	// (1 and 1 for a serial run). Workers are one histogram observation per
+	// scan, so concurrent queries never overwrite each other; zero means
+	// the run was no sweep scan and observes nothing.
+	SweepWorkers, SweepChunks int
+	// IndexNodes is the segment-tree node slots one interval-index build
+	// materialized (S37); the gauge keeps the maximum over builds.
+	IndexNodes int
+	// IndexLookups and IndexMerges count index-served range or point
+	// lookups and the node-partial merges performed to answer them — the
+	// lookups' cost in the paper's §6 currency.
+	IndexLookups, IndexMerges int
 }
 
 // Metric names exported by Metrics. Each maps to a §6 cost-model quantity;
@@ -258,30 +258,35 @@ func NewMetrics(reg *Registry) *Metrics {
 // Registry returns the registry the metrics record into.
 func (m *Metrics) Registry() *Registry { return m.reg }
 
-// Evaluator returns the handle for one evaluator run; see Sink.
-func (m *Metrics) Evaluator(algorithm string) EvalSink {
-	return &evalSink{
-		tuples:      m.tuples.With(algorithm),
-		nodesAlloc:  m.nodesAlloc.With(algorithm),
-		nodesColl:   m.nodesColl.With(algorithm),
-		peakNodes:   m.peakNodes.With(algorithm),
-		gcThreshold: m.gcThreshold.With(algorithm),
-		arenaSlabs:  m.arenaSlabs.With(algorithm),
-		arenaReused: m.arenaReused.With(algorithm),
-		sweepEvents: m.sweepEvents.With(algorithm),
-		sweepRadix:  m.sweepRadix.With(algorithm),
-		sweepFalls:  m.sweepFalls.With(algorithm),
-		sweepWork:   m.sweepWork.With(algorithm),
-		sweepChunks: m.sweepChunks.With(algorithm),
-		idxNodes:    m.idxNodes.With(algorithm),
-		idxLookups:  m.idxLookups.With(algorithm),
-		idxMerges:   m.idxMerges.With(algorithm),
+// Record implements Sink: it adds one run's counters to the algorithm's
+// series, creating every evaluator-family series for the label on first
+// use.
+func (m *Metrics) Record(algorithm string, c EvalCounters) {
+	if m == nil {
+		return
 	}
+	m.tuples.With(algorithm).Add(int64(c.Tuples))
+	m.nodesAlloc.With(algorithm).Add(int64(c.NodesAllocated))
+	m.nodesColl.With(algorithm).Add(int64(c.NodesCollected))
+	m.peakNodes.With(algorithm).SetMax(int64(c.PeakNodes))
+	gc := m.gcThreshold.With(algorithm)
+	if c.GC {
+		gc.Set(c.GCThreshold)
+	}
+	m.arenaSlabs.With(algorithm).Add(int64(c.ArenaSlabs))
+	m.arenaReused.With(algorithm).Add(int64(c.ArenaReused))
+	m.sweepEvents.With(algorithm).Add(int64(c.SweepEvents))
+	m.sweepRadix.With(algorithm).Add(int64(c.SweepRadixPasses))
+	m.sweepFalls.With(algorithm).Add(int64(c.SweepFallbacks))
+	workers := m.sweepWork.With(algorithm)
+	if c.SweepWorkers > 0 {
+		workers.Observe(float64(c.SweepWorkers))
+	}
+	m.sweepChunks.With(algorithm).Add(int64(c.SweepChunks))
+	m.idxNodes.With(algorithm).SetMax(int64(c.IndexNodes))
+	m.idxLookups.With(algorithm).Add(int64(c.IndexLookups))
+	m.idxMerges.With(algorithm).Add(int64(c.IndexMerges))
 }
-
-// Flush implements Sink. Metrics records synchronously into atomics, so
-// there is never anything buffered.
-func (m *Metrics) Flush() error { return nil }
 
 // RecordQuery records one finished query: the per-algorithm count (status
 // "ok" or "error") and the latency histogram.
@@ -410,50 +415,4 @@ func (m *Metrics) LiveReaders(relation string, delta int64) {
 		return
 	}
 	m.liveReaders.With(relation).Add(delta)
-}
-
-// evalSink is the resolved-series handle returned by Metrics.Evaluator.
-type evalSink struct {
-	tuples      *Counter
-	nodesAlloc  *Counter
-	nodesColl   *Counter
-	peakNodes   *Gauge
-	gcThreshold *Gauge
-	arenaSlabs  *Counter
-	arenaReused *Counter
-	sweepEvents *Counter
-	sweepRadix  *Counter
-	sweepFalls  *Counter
-	sweepWork   *Histogram
-	sweepChunks *Counter
-	idxNodes    *Gauge
-	idxLookups  *Counter
-	idxMerges   *Counter
-}
-
-func (s *evalSink) TuplesProcessed(n int) { s.tuples.Add(int64(n)) }
-func (s *evalSink) NodesAllocated(n int)  { s.nodesAlloc.Add(int64(n)) }
-func (s *evalSink) NodesCollected(n int)  { s.nodesColl.Add(int64(n)) }
-func (s *evalSink) PeakNodes(n int)       { s.peakNodes.SetMax(int64(n)) }
-func (s *evalSink) GCThreshold(t int64)   { s.gcThreshold.Set(t) }
-func (s *evalSink) ArenaRelease(slabs, reusedNodes int) {
-	s.arenaSlabs.Add(int64(slabs))
-	s.arenaReused.Add(int64(reusedNodes))
-}
-func (s *evalSink) Sweep(events, radixPasses, fallbacks int) {
-	s.sweepEvents.Add(int64(events))
-	s.sweepRadix.Add(int64(radixPasses))
-	s.sweepFalls.Add(int64(fallbacks))
-}
-func (s *evalSink) SweepParallel(workers, chunks int) {
-	s.sweepWork.Observe(float64(workers))
-	s.sweepChunks.Add(int64(chunks))
-}
-func (s *evalSink) IndexBuild(nodes, tuples int) {
-	s.idxNodes.SetMax(int64(nodes))
-	s.tuples.Add(int64(tuples))
-}
-func (s *evalSink) IndexLookup(merges int) {
-	s.idxLookups.Inc()
-	s.idxMerges.Add(int64(merges))
 }

@@ -41,7 +41,7 @@ type slowEntry struct {
 	Query     string        `json:"query"`
 	Algorithm string        `json:"algorithm,omitempty"`
 	Plan      string        `json:"plan,omitempty"`
-	Stats     EvalCounters  `json:"stats"`
+	Stats     TraceCounters `json:"stats"`
 	Err       string        `json:"error,omitempty"`
 }
 

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// EvalCounters is the trace-side snapshot of core.Stats (duplicated here
+// TraceCounters is the trace-side snapshot of core.Stats (duplicated here
 // rather than imported so obs stays below core in the dependency order).
 // Sums are across every evaluator the query ran — one per attribute group
 // and select-list aggregate — except PeakNodes, which is the maximum.
-type EvalCounters struct {
+type TraceCounters struct {
 	Tuples    int `json:"tuples"`
 	LiveNodes int `json:"live_nodes"`
 	PeakNodes int `json:"peak_nodes"`
@@ -42,7 +42,7 @@ type Span struct {
 	// AllocBytes is the process-wide heap-allocation delta over the span
 	// (runtime/metrics /gc/heap/allocs:bytes), best-effort under overlap.
 	AllocBytes int64             `json:"alloc_bytes,omitempty"`
-	Counters   *EvalCounters     `json:"counters,omitempty"`
+	Counters   *TraceCounters    `json:"counters,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	Children   []*Span           `json:"children,omitempty"`
 
@@ -121,7 +121,7 @@ func (s *Span) AddCounters(tuples, liveNodes, peakNodes, collected int) {
 	}
 	s.tr.mu.Lock()
 	if s.Counters == nil {
-		s.Counters = &EvalCounters{}
+		s.Counters = &TraceCounters{}
 	}
 	s.Counters.Tuples += tuples
 	s.Counters.LiveNodes += liveNodes
@@ -145,9 +145,7 @@ func (s *Span) Context() TraceContext {
 // TraceContext is the W3C-traceparent-shaped propagation handle threaded
 // through core (SweepOptions, PartitionOptions): 16-byte trace
 // ID and 8-byte parent span ID, hex-encoded. In process it also carries the
-// parent *Span so workers can attach children directly; over the wire only
-// the IDs travel (TraceParent/ParseTraceParent), which is what a future
-// distributed coordinator forwards to its shards.
+// parent *Span so workers can attach children directly.
 //
 // The zero TraceContext is the disabled state: Active reports false and
 // StartChild returns a nil (no-op) span, so threading it unconditionally
@@ -173,50 +171,6 @@ func (c TraceContext) StartChild(name string) *Span {
 	return c.tr.StartSpan(name)
 }
 
-// TraceParent renders the context in the W3C traceparent header form,
-// version 00: "00-<trace-id>-<parent-id>-<flags>".
-func (c TraceContext) TraceParent() string {
-	trace, span := c.TraceID, c.SpanID
-	if trace == "" {
-		trace = "00000000000000000000000000000000"
-	}
-	if span == "" {
-		span = "0000000000000000"
-	}
-	flags := "00"
-	if c.Sampled {
-		flags = "01"
-	}
-	return fmt.Sprintf("00-%s-%s-%s", trace, span, flags)
-}
-
-// ParseTraceParent parses a W3C traceparent header into a remote context:
-// the IDs are preserved for correlation but the context carries no local
-// span, so StartChild on it is a no-op until a local trace adopts it.
-func ParseTraceParent(s string) (TraceContext, error) {
-	var version, trace, span, flags string
-	if n, err := fmt.Sscanf(s, "%2s-%32s-%16s-%2s", &version, &trace, &span, &flags); n != 4 || err != nil {
-		return TraceContext{}, fmt.Errorf("obs: malformed traceparent %q", s)
-	}
-	if version != "00" || !isHex(trace, 32) || !isHex(span, 16) || !isHex(flags, 2) {
-		return TraceContext{}, fmt.Errorf("obs: malformed traceparent %q", s)
-	}
-	return TraceContext{TraceID: trace, SpanID: span, Sampled: flags == "01"}, nil
-}
-
-func isHex(s string, n int) bool {
-	if len(s) != n {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 func randHex64() string { return fmt.Sprintf("%016x", rand.Uint64()|1) }
 
 func randHex128() string { return fmt.Sprintf("%016x%016x", rand.Uint64()|1, rand.Uint64()|1) }
@@ -238,7 +192,7 @@ type QueryTrace struct {
 	Plan      string        `json:"plan,omitempty"`
 	Costs     []PlanCost    `json:"plan_costs,omitempty"`
 	Groups    int           `json:"groups,omitempty"`
-	Stats     EvalCounters  `json:"stats"`
+	Stats     TraceCounters `json:"stats"`
 	Err       string        `json:"error,omitempty"`
 	Spans     []*Span       `json:"spans,omitempty"`
 

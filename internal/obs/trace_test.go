@@ -31,7 +31,7 @@ func TestObserverLifecycle(t *testing.T) {
 	if tr.Duration <= 0 {
 		t.Error("FinishQuery must stamp a positive duration")
 	}
-	if tr.Stats != (EvalCounters{Tuples: 20, LiveNodes: 14, PeakNodes: 12, Collected: 2}) {
+	if tr.Stats != (TraceCounters{Tuples: 20, LiveNodes: 14, PeakNodes: 12, Collected: 2}) {
 		t.Errorf("stats snapshot = %+v", tr.Stats)
 	}
 	if len(tr.Spans) != 1 || tr.Spans[0].Name != "plan" {
@@ -197,17 +197,13 @@ func TestHTTPHandlers(t *testing.T) {
 func TestMetricsSinkRoundTrip(t *testing.T) {
 	m := NewMetrics(NewRegistry())
 	var s Sink = m
-	es := s.Evaluator("k-ordered-tree")
-	es.NodesAllocated(1)
-	es.TuplesProcessed(5)
-	es.NodesAllocated(8)
-	es.NodesCollected(3)
-	es.PeakNodes(6)
-	es.PeakNodes(4) // lower peak must not regress the gauge
-	es.GCThreshold(17)
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
+	s.Record("k-ordered-tree", EvalCounters{
+		Tuples: 5, NodesAllocated: 9, NodesCollected: 3, PeakNodes: 6,
+		GCThreshold: 17, GC: true,
+	})
+	// A lower peak must not regress the gauge, and a run that never
+	// collected must leave the watermark as it was.
+	s.Record("k-ordered-tree", EvalCounters{PeakNodes: 4, GCThreshold: 2})
 	var b strings.Builder
 	if err := m.Registry().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -218,6 +214,11 @@ func TestMetricsSinkRoundTrip(t *testing.T) {
 		`tempagg_tree_nodes_collected_total{algorithm="k-ordered-tree"} 3`,
 		`tempagg_tree_nodes_peak{algorithm="k-ordered-tree"} 6`,
 		`tempagg_gc_threshold_time{algorithm="k-ordered-tree"} 17`,
+		// Every evaluator-family series exists after one record, at zero
+		// where the run had nothing to count.
+		`tempagg_sweep_events_total{algorithm="k-ordered-tree"} 0`,
+		`tempagg_sweep_parallel_workers_count{algorithm="k-ordered-tree"} 0`,
+		`tempagg_index_nodes{algorithm="k-ordered-tree"} 0`,
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, b.String())

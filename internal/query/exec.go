@@ -605,13 +605,11 @@ func traceStats(tr *obs.QueryTrace, s core.Stats) {
 	tr.AddStats(s.Tuples, s.LiveNodes, s.PeakNodes, s.Collected)
 }
 
-// sinkTuples publishes tuple counts for the evaluator-less strategies
-// (snapshot scans and Tuma's two-pass baseline), which bypass core's own
-// sink instrumentation, and returns them as the strategy's stats.
+// sinkTuples publishes the tuple count of an evaluator-less strategy
+// (snapshot scans, live snapshot reads and Tuma's two-pass baseline) as
+// its one counters record, and returns it as the strategy's stats.
 func sinkTuples(tr *obs.QueryTrace, algorithm string, n int) core.Stats {
-	if s := tr.Sink(); s != nil {
-		s.Evaluator(algorithm).TuplesProcessed(n)
-	}
+	core.Publish(tr.Sink(), algorithm, obs.EvalCounters{Tuples: n})
 	return core.Stats{Tuples: n}
 }
 

@@ -123,7 +123,7 @@ func renderWorkerSkew(b *strings.Builder, tr *obs.QueryTrace) {
 
 // renderCostDelta reprices the chosen plan's cost formula with the measured
 // counters and reports the estimate's error.
-func renderCostDelta(b *strings.Builder, qr *QueryResult, st obs.EvalCounters) {
+func renderCostDelta(b *strings.Builder, qr *QueryResult, st obs.TraceCounters) {
 	if !qr.Plan.Prices.Enabled() {
 		return
 	}
@@ -142,7 +142,7 @@ func renderCostDelta(b *strings.Builder, qr *QueryResult, st obs.EvalCounters) {
 }
 
 // traceCounters reads the trace's counter snapshot under its lock.
-func traceCounters(tr *obs.QueryTrace) obs.EvalCounters {
+func traceCounters(tr *obs.QueryTrace) obs.TraceCounters {
 	// Stats is written via AddStats under tr.mu; the trace is finished when
 	// rendered, so a plain read is safe here.
 	return tr.Stats
