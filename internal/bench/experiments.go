@@ -357,20 +357,6 @@ func SweepFigure(opts Options) (Figure, error) {
 		})
 }
 
-// SweepParallelFigure measures the PR 7 tentpole: the chunked parallel scan
-// against the serial sweep on random-order input across worker counts.
-// Worker speedups only materialize with GOMAXPROCS > 1 — the harness's
-// JSON report records gomaxprocs so BENCH_PR7.json is honest about the
-// machine it ran on.
-func SweepParallelFigure(opts Options) (Figure, error) {
-	return buildFigure("sweep-parallel", "Parallel Sweep Scan",
-		"seconds", opts, timeMetric, []seriesSpec{
-			{"sweep parallel=1 random", core.Spec{Algorithm: core.SweepEval, Parallel: 1}, genRandom(0)},
-			{"sweep parallel=2 random", core.Spec{Algorithm: core.SweepEval, Parallel: 2}, genRandom(0)},
-			{"sweep parallel=4 random", core.Spec{Algorithm: core.SweepEval, Parallel: 4}, genRandom(0)},
-		})
-}
-
 // LiveReadFigure measures the PR 9 tentpole: snapshot reads against a live
 // evaluator mid-ingestion. The stream lands in 8 chunks; after each chunk a
 // reader takes a snapshot and evaluates the full aggregate at that epoch. A
@@ -477,9 +463,9 @@ func LiveReadFigure(opts Options) (Figure, error) {
 }
 
 // newPrefixSweep is the from-scratch evaluator the live series is compared
-// against: a serial columnar sweep, the fastest batch path on random input.
+// against: a columnar sweep, the fastest batch path on random input.
 func newPrefixSweep(f aggregate.Func) core.Evaluator {
-	return core.NewSweepOptions(f, core.SweepOptions{Parallel: 1})
+	return core.NewSweep(f)
 }
 
 // rangeQuerySizes picks the sweep sizes for RangeQueryFigure: the S37

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tempagg/internal/aggregate"
@@ -46,6 +47,33 @@ func runPartitioned(opts PartitionOptions) func(*testing.T, aggregate.Func, []tu
 	}
 }
 
+// runSweepAtProcs runs a defaulted sweep with runtime.GOMAXPROCS set to
+// procs (restored after) and fails the test unless it emits the aggregation
+// tree's rows one for one: the same intervals, uncoalesced, with equal
+// states.
+func runSweepAtProcs(procs int) func(*testing.T, aggregate.Func, []tuple.Tuple, int) (*Result, error) {
+	return func(t *testing.T, f aggregate.Func, ts []tuple.Tuple, _ int) (*Result, error) {
+		tree, _, err := Run(Spec{Algorithm: AggregationTree}, f, ts)
+		if err != nil {
+			return nil, err
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, _, err := Run(Spec{Algorithm: SweepEval}, f, ts)
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Rows) != len(tree.Rows) {
+			t.Fatalf("GOMAXPROCS=%d: sweep emitted %d rows, aggregation tree %d", procs, len(res.Rows), len(tree.Rows))
+		}
+		for i, row := range res.Rows {
+			if row.Interval != tree.Rows[i].Interval || !f.StateEqual(row.State, tree.Rows[i].State) {
+				t.Fatalf("GOMAXPROCS=%d: row %d is %v, aggregation tree's is %v", procs, i, row, tree.Rows[i])
+			}
+		}
+		return res, nil
+	}
+}
+
 func diffStrategies(boundaries []interval.Time) []diffStrategy {
 	return []diffStrategy{
 		{"tuma", func(_ *testing.T, f aggregate.Func, ts []tuple.Tuple, _ int) (*Result, error) {
@@ -74,12 +102,12 @@ func diffStrategies(boundaries []interval.Time) []diffStrategy {
 			}
 			return ev.Finish()
 		}},
-		// Parallel sweep at 1 (forced serial), 2, and 8 workers: an explicit
-		// Parallel > 1 takes the chunked scan whatever the input size, so the
-		// oracle exercises real chunk boundaries even at these small n.
-		{"sweep-parallel=1", runSpec(Spec{Algorithm: SweepEval, Parallel: 1})},
-		{"sweep-parallel=2", runSpec(Spec{Algorithm: SweepEval, Parallel: 2})},
-		{"sweep-parallel=8", runSpec(Spec{Algorithm: SweepEval, Parallel: 8})},
+		// The sweep with 1, 2 and 8 procs available. Its rows must be the
+		// aggregation tree's row for row, not merely value-equivalent: no
+		// answer may depend on the machine's core count.
+		{"sweep-parallel=1", runSweepAtProcs(1)},
+		{"sweep-parallel=2", runSweepAtProcs(2)},
+		{"sweep-parallel=8", runSweepAtProcs(8)},
 		// The live evaluator read at its final epoch. SegmentSize 32 forces
 		// several seal boundaries and a partial tail at the oracle's sizes,
 		// so the segment-merge path and the tail sweep are both in play.
@@ -173,23 +201,27 @@ type diffWorkload struct {
 	cfg  workload.Config
 	// k bounds the relation's disorder for the k-ordered tree.
 	k func(n int) int
+	// large, when set, adds one relation of that many tuples to the
+	// workload's sizes: enough events that a sweep which split its work by
+	// the core count would have split this one.
+	large int
 }
 
 func diffWorkloads() []diffWorkload {
 	const lifespan = 4000 // small lifespan → dense overlaps and many splits
 	return []diffWorkload{
 		{"sorted", workload.Config{Lifespan: lifespan, Order: workload.Sorted},
-			func(int) int { return 1 }},
+			func(int) int { return 1 }, 0},
 		{"sorted-longlived", workload.Config{Lifespan: lifespan, Order: workload.Sorted, LongLivedPct: 80},
-			func(int) int { return 1 }},
+			func(int) int { return 1 }, 0},
 		{"k-ordered", workload.Config{Lifespan: lifespan, Order: workload.KOrdered, K: 4, KPct: 0.08},
-			func(int) int { return 4 }},
+			func(int) int { return 4 }, 0},
 		{"k-ordered-longlived", workload.Config{Lifespan: lifespan, Order: workload.KOrdered, K: 4, KPct: 0.08, LongLivedPct: 80},
-			func(int) int { return 4 }},
+			func(int) int { return 4 }, 0},
 		{"random", workload.Config{Lifespan: lifespan, Order: workload.Random},
-			func(n int) int { return n }},
+			func(n int) int { return n }, 4096},
 		{"random-longlived", workload.Config{Lifespan: lifespan, Order: workload.Random, LongLivedPct: 80},
-			func(n int) int { return n }},
+			func(n int) int { return n }, 0},
 	}
 }
 
@@ -199,7 +231,11 @@ func diffWorkloads() []diffWorkload {
 func TestDifferentialOracle(t *testing.T) {
 	boundaries := []interval.Time{500, 1500, 3000}
 	for _, wl := range diffWorkloads() {
-		for _, n := range []int{0, 1, 37, 160} {
+		sizes := []int{0, 1, 37, 160}
+		if wl.large > 0 {
+			sizes = append(sizes, wl.large)
+		}
+		for _, n := range sizes {
 			cfg := wl.cfg
 			cfg.Tuples = n
 			cfg.Seed = int64(1000 + n)

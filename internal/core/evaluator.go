@@ -114,10 +114,6 @@ type Spec struct {
 	// a totally ordered relation; the paper's headline strategy is K = 1
 	// over a sorted relation.
 	K int
-	// Parallel is the worker count for parallel-capable evaluators — used by
-	// SweepEval only (SweepOptions.Parallel). 0 resolves to GOMAXPROCS with
-	// a serial fallback on small inputs; 1 forces the serial path.
-	Parallel int
 }
 
 // New constructs an evaluator for the given spec and aggregate.
@@ -132,7 +128,7 @@ func New(spec Spec, f aggregate.Func) (Evaluator, error) {
 	case BalancedTree:
 		return NewBalancedTree(f), nil
 	case SweepEval:
-		return NewSweepOptions(f, SweepOptions{Parallel: spec.Parallel}), nil
+		return NewSweep(f), nil
 	}
 	return nil, fmt.Errorf("core: unknown algorithm %v", spec.Algorithm)
 }

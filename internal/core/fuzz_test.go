@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -195,61 +194,6 @@ func FuzzArenaReuse(f *testing.F) {
 		if _, reused := ar.release(); reused != 1 {
 			t.Fatal("release must report one free-list reuse")
 		}
-	})
-}
-
-// FuzzParallelSweepVsSerial is the differential fuzz target for the chunked
-// scan: whatever the input shape, order, or worker count, the parallel sweep
-// must emit the serial sweep's rows bit-for-bit for decomposable aggregates
-// (value-equivalence against the oracle for MIN/MAX, whose span
-// partitioning may split rows). Explicit Parallel > 1 bypasses the size
-// cutoff, so tiny fuzz inputs still exercise the chunk machinery.
-func FuzzParallelSweepVsSerial(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(40), uint8(0), uint8(2))
-	f.Add(int64(2), uint8(3), uint8(120), uint8(1), uint8(5))
-	f.Add(int64(3), uint8(7), uint8(255), uint8(4), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, kindB, nb, orderB, wb uint8) {
-		r := rand.New(rand.NewSource(seed))
-		fn := aggregate.For(aggregate.Kinds()[int(kindB)%5])
-		n := int(nb)
-		workers := int(wb%8) + 2 // 2..9: always the chunked path
-		ts := randomTuples(r, n, 1000)
-		switch orderB % 3 {
-		case 1:
-			sort.SliceStable(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
-		case 2:
-			ts = kDisorder(r, ts, int(orderB%9))
-		}
-
-		run := func(parallel int) *Result {
-			ev := NewSweepOptions(fn, SweepOptions{Parallel: parallel})
-			for _, tu := range ts {
-				if err := ev.Add(tu); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := ev.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		serial := run(1)
-		par := run(workers)
-		if err := par.Validate(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if fn.Kind().Decomposable() {
-			if !reflect.DeepEqual(par.Rows, serial.Rows) {
-				t.Fatalf("workers=%d n=%d %v: parallel rows differ from serial", workers, n, fn.Kind())
-			}
-		} else if !par.Equal(serial) {
-			t.Fatalf("workers=%d n=%d %v: parallel wedge differs from serial", workers, n, fn.Kind())
-		}
-		if !par.Equal(Reference(fn, ts)) {
-			t.Fatalf("workers=%d n=%d %v: parallel sweep differs from oracle", workers, n, fn.Kind())
-		}
-
 	})
 }
 

@@ -21,7 +21,6 @@ import (
 
 	"tempagg/internal/aggregate"
 	"tempagg/internal/interval"
-	"tempagg/internal/obs"
 	"tempagg/internal/tuple"
 )
 
@@ -184,7 +183,6 @@ type LiveEvaluator struct {
 	stats   statsCell
 	prefix  [5]livePrefix // indexed by aggregate.Kind
 
-	sink  obs.Sink
 	hook  func(LiveGauges)
 	seals atomic.Int64
 }
@@ -198,11 +196,6 @@ func NewLive(opts LiveOptions) *LiveEvaluator {
 	e.state.Store(&liveState{tail: newLiveTail(opts.SegmentSize)})
 	return e
 }
-
-// SetSink attaches an observability sink: every ingested batch publishes
-// one record of its tuple count under the "live" algorithm label. Safe
-// only before ingestion starts.
-func (e *LiveEvaluator) SetSink(s obs.Sink) { e.sink = s }
 
 // SetGaugeHook installs the epoch-telemetry callback, invoked after every
 // AddBatch (and every seal) with the current seqno, segment count, and tail
@@ -255,7 +248,6 @@ func (e *LiveEvaluator) AddBatch(ts []tuple.Tuple) error {
 			st.tail.n.Store(w + 1)
 		}
 	}
-	Publish(e.sink, "live", obs.EvalCounters{Tuples: len(ts)})
 	e.publishLocked()
 	return nil
 }

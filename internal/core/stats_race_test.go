@@ -99,11 +99,9 @@ func TestObservedRunMatchesStats(t *testing.T) {
 		{"aggregation-tree", Spec{Algorithm: AggregationTree}, aggregate.Count, ts, 0},
 		{"k-ordered-tree", Spec{Algorithm: KOrderedTree, K: 1}, aggregate.Count, ts, 0},
 		{"balanced-tree", Spec{Algorithm: BalancedTree}, aggregate.Count, ts, 0},
-		{"sweep", Spec{Algorithm: SweepEval, Parallel: 1}, aggregate.Count, rev, 0},
-		{"sweep-parallel-2", Spec{Algorithm: SweepEval, Parallel: 2}, aggregate.Count, rev, 0},
-		{"sweep-min", Spec{Algorithm: SweepEval, Parallel: 1}, aggregate.Min, rev, 0},
-		{"sweep-min-parallel-2", Spec{Algorithm: SweepEval, Parallel: 2}, aggregate.Min, rev, 0},
-		{"sweep-min-fallback", Spec{Algorithm: SweepEval, Parallel: 1}, aggregate.Min, rev, 2},
+		{"sweep", Spec{Algorithm: SweepEval}, aggregate.Count, rev, 0},
+		{"sweep-min", Spec{Algorithm: SweepEval}, aggregate.Min, rev, 0},
+		{"sweep-min-fallback", Spec{Algorithm: SweepEval}, aggregate.Min, rev, 2},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -145,10 +143,6 @@ func TestObservedRunMatchesStats(t *testing.T) {
 			case *Sweep:
 				want.ArenaSlabs, want.ArenaReused = e.ar.counters()
 				want.SweepEvents, want.SweepRadixPasses, want.SweepFallbacks = e.events, e.radixPasses, e.fallbacks
-				want.SweepWorkers, want.SweepChunks = e.parallelWorkers, e.chunks
-				if row.spec.Parallel != want.SweepWorkers {
-					t.Fatalf("sweep ran %d workers, want %d", want.SweepWorkers, row.spec.Parallel)
-				}
 				if want.SweepFallbacks != min(row.wedgeBound, 1) {
 					t.Fatalf("sweep fell back %d times, want %d", want.SweepFallbacks, min(row.wedgeBound, 1))
 				}
@@ -175,7 +169,6 @@ func TestObservedRunMatchesStats(t *testing.T) {
 				{obs.MetricSweepEvents, counter(obs.MetricSweepEvents), int64(want.SweepEvents)},
 				{obs.MetricSweepRadix, counter(obs.MetricSweepRadix), int64(want.SweepRadixPasses)},
 				{obs.MetricSweepFallbacks, counter(obs.MetricSweepFallbacks), int64(want.SweepFallbacks)},
-				{obs.MetricSweepChunks, counter(obs.MetricSweepChunks), int64(want.SweepChunks)},
 				{obs.MetricIndexNodes, gauge(obs.MetricIndexNodes), 0},
 				{obs.MetricIndexLookups, counter(obs.MetricIndexLookups), 0},
 				{obs.MetricIndexMerges, counter(obs.MetricIndexMerges), 0},
@@ -183,11 +176,6 @@ func TestObservedRunMatchesStats(t *testing.T) {
 				if c.got != c.want {
 					t.Errorf("%s = %d, run's own counter = %d", c.series, c.got, c.want)
 				}
-			}
-			h := reg.HistogramVec(obs.MetricSweepWorkers, "", obs.WorkerBuckets, "algorithm").With(alg)
-			// One observation per sweep scan, none for the tree evaluators.
-			if n := min(want.SweepWorkers, 1); h.Count() != int64(n) || h.Sum() != float64(want.SweepWorkers) {
-				t.Errorf("%s count/sum = %d/%g, want %d/%d", obs.MetricSweepWorkers, h.Count(), h.Sum(), n, want.SweepWorkers)
 			}
 			if row.wedgeBound > 0 {
 				fallbackTuples := reg.CounterVec(obs.MetricTuplesProcessed, "", "algorithm").With(AggregationTree.String()).Value()

@@ -101,8 +101,8 @@ type traceSetter interface {
 
 // SetTraceContext attaches a span-propagation context to ev when the
 // evaluator supports one; a zero context or an unsupporting evaluator is a
-// no-op. It is the exported hook the query executor uses to hang
-// per-worker sweep spans under its execute span.
+// no-op. It is the exported hook the query executor uses to hang the
+// sweep's sort and scan spans under its execute span.
 func SetTraceContext(ev Evaluator, ctx obs.TraceContext) {
 	if ts, ok := ev.(traceSetter); ok {
 		ts.setTrace(ctx)
@@ -131,8 +131,8 @@ func RunObserved(spec Spec, f aggregate.Func, tuples []tuple.Tuple, s obs.Sink) 
 }
 
 // RunTraced is RunObserved with a span-propagation context attached: an
-// evaluator that supports tracing (the sweep family) records its sort,
-// per-worker scan, and emit stages as child spans of ctx. A zero ctx is
+// evaluator that supports tracing (the sweep family) records its sort and
+// scan stages as child spans of ctx. A zero ctx is
 // exactly RunObserved.
 func RunTraced(spec Spec, f aggregate.Func, tuples []tuple.Tuple, s obs.Sink, ctx obs.TraceContext) (*Result, Stats, error) {
 	ev, err := NewObserved(spec, f, s)

@@ -70,11 +70,6 @@ type Sweep struct {
 	radixPasses int
 	fallbacks   int
 
-	// Set by the chunked scan (sweep_parallel.go); a serial run reports
-	// one worker, one chunk.
-	parallelWorkers int
-	chunks          int
-
 	sink  obs.Sink
 	stats statsCell
 }
@@ -101,6 +96,27 @@ func NewSweepRange(f aggregate.Func, span interval.Interval) *Sweep {
 		decomposable: f.Kind().Decomposable(),
 		sSorted:      true,
 	}
+}
+
+// SweepOptions parameterizes a sweep evaluation.
+type SweepOptions struct {
+	// Trace is the span-propagation context for the evaluation: when
+	// active, Finish records its radix-sort and scan stages as child spans,
+	// each with its own event-count snapshot. The zero value disables span
+	// recording (one pointer compare per stage, never per tuple).
+	Trace obs.TraceContext
+}
+
+// NewSweepOptions is NewSweep with explicit options.
+func NewSweepOptions(f aggregate.Func, opts SweepOptions) *Sweep {
+	return NewSweepRangeOptions(f, interval.Universe(), opts)
+}
+
+// NewSweepRangeOptions is NewSweepRange with explicit options.
+func NewSweepRangeOptions(f aggregate.Func, span interval.Interval, opts SweepOptions) *Sweep {
+	s := NewSweepRange(f, span)
+	s.opts = opts
+	return s
 }
 
 func (s *Sweep) setSink(snk obs.Sink) { s.sink = snk }
@@ -175,13 +191,9 @@ func (s *Sweep) Finish() (*Result, error) {
 	}
 	s.sTimes, s.sVals, s.eTimes, s.eVals = nil, nil, nil, nil
 	s.starts, s.ends, s.vals = nil, nil, nil
-	if s.parallelWorkers == 0 {
-		s.parallelWorkers, s.chunks = 1, 1
-	}
 	c := s.stats.counters()
 	c.ArenaSlabs, c.ArenaReused = s.ar.counters()
 	c.SweepEvents, c.SweepRadixPasses, c.SweepFallbacks = s.events, s.radixPasses, s.fallbacks
-	c.SweepWorkers, c.SweepChunks = s.parallelWorkers, s.chunks
 	Publish(s.sink, SweepEval.String(), c)
 	return res, err
 }
@@ -190,11 +202,10 @@ func (s *Sweep) Finish() (*Result, error) {
 // running (count, sum) pair — the COUNT/SUM/AVG path.
 func (s *Sweep) finishDecomposable() *Result {
 	s.events = len(s.sTimes) + len(s.eTimes)
-	workers := s.opts.workers(s.events)
 	if !s.sSorted {
 		sp := s.opts.Trace.StartChild("radix-sort")
 		sp.SetAttr("column", "arrivals")
-		s.radixPasses += radixSortInt64Parallel(&s.ar, workers, s.sTimes, s.sVals)
+		s.radixPasses += radixSortInt64(&s.ar, s.sTimes, s.sVals)
 		sp.End()
 	}
 	// Departures are e+1 in arrival order; even sorted input rarely keeps
@@ -202,15 +213,9 @@ func (s *Sweep) finishDecomposable() *Result {
 	if !sortedInt64(s.eTimes) {
 		sp := s.opts.Trace.StartChild("radix-sort")
 		sp.SetAttr("column", "departures")
-		s.radixPasses += radixSortInt64Parallel(&s.ar, workers, s.eTimes, s.eVals)
+		s.radixPasses += radixSortInt64(&s.ar, s.eTimes, s.eVals)
 		sp.End()
 	}
-	if workers > 1 {
-		if res := s.scanChunked(workers); res != nil {
-			return res
-		}
-	}
-
 	scanSp := s.opts.Trace.StartChild("scan")
 	scanSp.SetAttr("mode", "serial")
 	scanSp.AddCounters(0, s.events, 0, 0)
@@ -273,17 +278,11 @@ func (s *Sweep) finishWedge() (*Result, error) {
 	if bound <= 0 {
 		bound = DefaultWedgeBound
 	}
-	workers := s.opts.workers(2 * len(s.starts))
 	if !sortedInt64(s.starts) {
 		sp := s.opts.Trace.StartChild("radix-sort")
 		sp.SetAttr("column", "starts")
-		s.radixPasses += radixSortInt64Parallel(&s.ar, workers, s.starts, s.ends, s.vals)
+		s.radixPasses += radixSortInt64(&s.ar, s.starts, s.ends, s.vals)
 		sp.End()
-	}
-	if workers > 1 {
-		if res, err := s.finishWedgeParallel(workers); res != nil || err != nil {
-			return res, err
-		}
 	}
 	scanSp := s.opts.Trace.StartChild("scan")
 	scanSp.SetAttr("mode", "wedge")

@@ -48,12 +48,6 @@ type EvalCounters struct {
 	// materialized, non-trivial radix scatter passes, and tree fallbacks
 	// taken by the MIN/MAX wedge (0 or 1 per run).
 	SweepEvents, SweepRadixPasses, SweepFallbacks int
-	// SweepWorkers and SweepChunks describe one sweep scan's parallelism:
-	// worker goroutines resolved and chunks the event stream was cut into
-	// (1 and 1 for a serial run). Workers are one histogram observation per
-	// scan, so concurrent queries never overwrite each other; zero means
-	// the run was no sweep scan and observes nothing.
-	SweepWorkers, SweepChunks int
 	// IndexNodes is the segment-tree node slots one interval-index build
 	// materialized (S37); the gauge keeps the maximum over builds.
 	IndexNodes int
@@ -76,8 +70,6 @@ const (
 	MetricSweepEvents     = "tempagg_sweep_events_total"
 	MetricSweepRadix      = "tempagg_sweep_radix_passes_total"
 	MetricSweepFallbacks  = "tempagg_sweep_fallbacks_total"
-	MetricSweepWorkers    = "tempagg_sweep_parallel_workers"
-	MetricSweepChunks     = "tempagg_sweep_chunks_total"
 	MetricQueries         = "tempagg_queries_total"
 	MetricQueryDuration   = "tempagg_query_duration_seconds"
 	MetricSlowQueries     = "tempagg_slow_queries_total"
@@ -126,10 +118,6 @@ var DefaultDurationBuckets = []float64{
 	1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 5, 30,
 }
 
-// WorkerBuckets are the sweep-parallelism histogram bounds: power-of-two
-// worker counts up to one beyond any GOMAXPROCS the bench fleet uses.
-var WorkerBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
 // Metrics is the pipeline's metric set over a Registry. It implements Sink
 // for core evaluators and records query-level outcomes for the query layer.
 type Metrics struct {
@@ -145,8 +133,6 @@ type Metrics struct {
 	sweepEvents *CounterVec   // by algorithm
 	sweepRadix  *CounterVec   // by algorithm
 	sweepFalls  *CounterVec   // by algorithm
-	sweepWork   *HistogramVec // by algorithm, workers per sweep scan
-	sweepChunks *CounterVec   // by algorithm
 	queries     *CounterVec   // by algorithm, status
 	duration    *HistogramVec // by algorithm
 	slow        *Counter
@@ -201,12 +187,6 @@ func NewMetrics(reg *Registry) *Metrics {
 			"Non-trivial LSD radix scatter passes performed by the sweep's event sort.", "algorithm"),
 		sweepFalls: reg.CounterVec(MetricSweepFallbacks,
 			"Sweep runs that fell back to the aggregation tree (MIN/MAX wedge overflow).", "algorithm"),
-		sweepWork: reg.HistogramVec(MetricSweepWorkers,
-			"Distribution of worker goroutines resolved per sweep scan (1 when serial). "+
-				"A histogram rather than a gauge: concurrent queries would race a last-write-wins gauge.",
-			WorkerBuckets, "algorithm"),
-		sweepChunks: reg.CounterVec(MetricSweepChunks,
-			"Event-stream chunks scanned by the parallel sweep (one per serial run).", "algorithm"),
 		queries: reg.CounterVec(MetricQueries,
 			"Queries executed, by chosen algorithm and outcome.", "algorithm", "status"),
 		duration: reg.HistogramVec(MetricQueryDuration,
@@ -278,11 +258,6 @@ func (m *Metrics) Record(algorithm string, c EvalCounters) {
 	m.sweepEvents.With(algorithm).Add(int64(c.SweepEvents))
 	m.sweepRadix.With(algorithm).Add(int64(c.SweepRadixPasses))
 	m.sweepFalls.With(algorithm).Add(int64(c.SweepFallbacks))
-	workers := m.sweepWork.With(algorithm)
-	if c.SweepWorkers > 0 {
-		workers.Observe(float64(c.SweepWorkers))
-	}
-	m.sweepChunks.With(algorithm).Add(int64(c.SweepChunks))
 	m.idxNodes.With(algorithm).SetMax(int64(c.IndexNodes))
 	m.idxLookups.With(algorithm).Add(int64(c.IndexLookups))
 	m.idxMerges.With(algorithm).Add(int64(c.IndexMerges))

@@ -21,8 +21,8 @@ type TraceCounters struct {
 
 // Span is one node of a query's trace tree. Top-level spans are the query's
 // stages (parse, plan, sort, execute, finish); stages fan out into children
-// — per-worker radix/scan/emit spans of the parallel sweep, per-partition
-// shard spans — each carrying its own §6 counter snapshot, wall/CPU time,
+// — the sweep's radix-sort and scan spans, per-partition shard spans —
+// each carrying its own §6 counter snapshot, wall/CPU time,
 // and heap-allocation delta.
 //
 // A span becomes visible (attached to its parent, or to the trace when it

@@ -217,7 +217,7 @@ func TestMetricsSinkRoundTrip(t *testing.T) {
 		// Every evaluator-family series exists after one record, at zero
 		// where the run had nothing to count.
 		`tempagg_sweep_events_total{algorithm="k-ordered-tree"} 0`,
-		`tempagg_sweep_parallel_workers_count{algorithm="k-ordered-tree"} 0`,
+		`tempagg_sweep_fallbacks_total{algorithm="k-ordered-tree"} 0`,
 		`tempagg_index_nodes{algorithm="k-ordered-tree"} 0`,
 	} {
 		if !strings.Contains(b.String(), want) {

@@ -151,7 +151,8 @@ type Query struct {
 	Span interval.Time
 	// Using optionally forces an algorithm, bypassing the optimizer.
 	Using string
-	// UsingK is the K argument of the USING clause (k-ordered tree only).
+	// UsingK is the numeric argument of the USING clause: KTREE's k or
+	// PARTITIONED's partition count.
 	UsingK int
 	// HasUsingK records whether a K argument was given.
 	HasUsingK bool

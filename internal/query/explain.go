@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -14,8 +13,8 @@ import (
 // with a trace, executed) query. With tr == nil only the plan tree is
 // rendered: the chosen strategy and every alternative the planner priced.
 // With a finished trace the report adds the measured span tree — each stage
-// and worker with wall/CPU time and its §6 counter snapshot — a worker-skew
-// summary for the parallel scan, and the estimated-vs-actual cost delta.
+// with wall/CPU time and its §6 counter snapshot — and the
+// estimated-vs-actual cost delta.
 //
 // The same renderer serves the EXPLAIN statement, tempagg -explain, and the
 // daemon, so their output is identical for identical queries.
@@ -47,7 +46,6 @@ func RenderExplain(qr *QueryResult, tr *obs.QueryTrace) string {
 	st := traceCounters(tr)
 	fmt.Fprintf(&b, "counters: tuples=%d live_nodes=%d peak_nodes=%d collected=%d\n",
 		st.Tuples, st.LiveNodes, st.PeakNodes, st.Collected)
-	renderWorkerSkew(&b, tr)
 	renderCostDelta(&b, qr, st)
 	return b.String()
 }
@@ -80,45 +78,6 @@ func renderSpan(b *strings.Builder, sp *obs.Span, depth int) {
 	for _, child := range sp.Children {
 		renderSpan(b, child, depth+1)
 	}
-}
-
-// renderWorkerSkew summarizes the scan-worker spans: count, fastest,
-// slowest, and the max/mean ratio — the signal that one chunk ran long and
-// capped the parallel speedup.
-func renderWorkerSkew(b *strings.Builder, tr *obs.QueryTrace) {
-	var workers []*obs.Span
-	var visit func(sp *obs.Span)
-	visit = func(sp *obs.Span) {
-		if sp.Name == "scan-worker" {
-			workers = append(workers, sp)
-		}
-		for _, c := range sp.Children {
-			visit(c)
-		}
-	}
-	for _, sp := range tr.SpanTree() {
-		visit(sp)
-	}
-	if len(workers) == 0 {
-		return
-	}
-	minD, maxD, sum := workers[0].Duration, workers[0].Duration, time.Duration(0)
-	for _, w := range workers {
-		if w.Duration < minD {
-			minD = w.Duration
-		}
-		if w.Duration > maxD {
-			maxD = w.Duration
-		}
-		sum += w.Duration
-	}
-	mean := sum / time.Duration(len(workers))
-	skew := math.NaN()
-	if mean > 0 {
-		skew = float64(maxD) / float64(mean)
-	}
-	fmt.Fprintf(b, "workers: %d spans, min=%s max=%s mean=%s skew(max/mean)=%.2f\n",
-		len(workers), roundDuration(minD), roundDuration(maxD), roundDuration(mean), skew)
 }
 
 // renderCostDelta reprices the chosen plan's cost formula with the measured

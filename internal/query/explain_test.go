@@ -112,12 +112,11 @@ func plainRows(qr *QueryResult) string {
 	return b.String()
 }
 
-// TestExplainAnalyzeParallelSweepAcceptance pins the headline identity on a
-// 64K-event input: the parallel sweep's per-worker scan spans carry §6 node
-// counts that sum exactly to the query-level LiveNodes counter, and the
-// report shows the per-worker spans, the skew summary, and the
-// estimated-vs-actual cost line.
-func TestExplainAnalyzeParallelSweepAcceptance(t *testing.T) {
+// TestExplainAnalyzeSweepAcceptance pins the headline identity on a
+// 64K-event input: the sweep's scan span carries a §6 node count equal to
+// the query-level LiveNodes counter, and the report shows the scan span and
+// the estimated-vs-actual cost line.
+func TestExplainAnalyzeSweepAcceptance(t *testing.T) {
 	const n = 32768 // two events per tuple: 65536
 	rel := relation.New("Big")
 	for i := 0; i < n; i++ {
@@ -125,7 +124,7 @@ func TestExplainAnalyzeParallelSweepAcceptance(t *testing.T) {
 		lo := int64(2*(n-i)) + 1
 		rel.Append(tuple.MustNew(fmt.Sprintf("e%d", i%97), int64(i), lo, lo+1000))
 	}
-	q, err := Parse("EXPLAIN ANALYZE SELECT COUNT(Salary) FROM Big USING SWEEP 4")
+	q, err := Parse("EXPLAIN ANALYZE SELECT COUNT(Salary) FROM Big USING SWEEP")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +134,11 @@ func TestExplainAnalyzeParallelSweepAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var workerNodes, workerSpans int
+	var scans []*obs.Span
 	var visit func(sp *obs.Span)
 	visit = func(sp *obs.Span) {
-		if sp.Name == "scan-worker" && sp.Counters != nil {
-			workerSpans++
-			workerNodes += sp.Counters.LiveNodes
+		if sp.Name == "scan" && sp.Counters != nil {
+			scans = append(scans, sp)
 		}
 		for _, c := range sp.Children {
 			visit(c)
@@ -149,17 +147,13 @@ func TestExplainAnalyzeParallelSweepAcceptance(t *testing.T) {
 	for _, sp := range tr.SpanTree() {
 		visit(sp)
 	}
-	if workerSpans != 4 {
-		t.Errorf("scan-worker spans = %d, want 4", workerSpans)
+	if len(scans) != 1 {
+		t.Fatalf("scan spans = %d, want 1", len(scans))
 	}
-	if workerNodes != tr.Stats.LiveNodes {
-		t.Errorf("worker span node sum = %d, query LiveNodes = %d — per-worker counters must partition the query total exactly",
-			workerNodes, tr.Stats.LiveNodes)
+	if got := scans[0].Counters.LiveNodes; got != tr.Stats.LiveNodes || got != 2*n {
+		t.Errorf("scan span nodes = %d, query LiveNodes = %d, want both %d", got, tr.Stats.LiveNodes, 2*n)
 	}
-	if workerNodes != 2*n {
-		t.Errorf("worker span node sum = %d, want %d", workerNodes, 2*n)
-	}
-	for _, marker := range []string{"scan-worker", "workers: 4 spans", "cost: estimated="} {
+	for _, marker := range []string{"scan[mode=serial]", "cost: estimated="} {
 		if !strings.Contains(qr.Explain, marker) {
 			t.Errorf("ANALYZE report missing %q:\n%s", marker, qr.Explain)
 		}

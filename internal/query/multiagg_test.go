@@ -156,7 +156,7 @@ func TestMultiAggregateMatchesSingle(t *testing.T) {
 		{"in-memory/window", " VALID OVERLAPS 100000 500000", false, false},
 		{"group-by", " GROUP BY Name", true, false},
 		{"group-by/window", " VALID OVERLAPS 100000 500000 GROUP BY Name", true, false},
-		{"file", " USING SWEEP 2", false, true},
+		{"file", " USING SWEEP", false, true},
 		{"file/group-by/window", " VALID OVERLAPS 100000 500000 GROUP BY Name", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

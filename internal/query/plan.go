@@ -176,17 +176,10 @@ func resolveUsing(q *Query) (Plan, error) {
 			Spec:        core.Spec{Algorithm: core.AggregationTree},
 		}, nil
 	case "SWEEP":
-		// The K argument is reused as the worker count for the parallel
-		// scan: 0 (or omitted) resolves to GOMAXPROCS with a serial
-		// fallback on small inputs, 1 forces the serial path.
-		w := 0
 		if q.HasUsingK {
-			w = q.UsingK
+			return Plan{}, fmt.Errorf("query: USING SWEEP takes no argument, got %d", q.UsingK)
 		}
-		if w < 0 {
-			return Plan{}, fmt.Errorf("query: USING SWEEP requires K >= 0 workers, got %d", w)
-		}
-		return Plan{Spec: core.Spec{Algorithm: core.SweepEval, Parallel: w}}, nil
+		return Plan{Spec: core.Spec{Algorithm: core.SweepEval}}, nil
 	case "TUMA":
 		return Plan{Tuma: true}, nil
 	case "INDEX":

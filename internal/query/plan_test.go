@@ -108,16 +108,23 @@ func TestResolveUsingRejectsNegativeK(t *testing.T) {
 	}
 }
 
+// TestUsingSweepParallelK: USING SWEEP takes no argument, so a worker count
+// (or any other number) fails at parse.
 func TestUsingSweepParallelK(t *testing.T) {
-	q := mustParse(t, "SELECT COUNT(Name) FROM R USING SWEEP 4")
-	plan, err := PlanQuery(q, RelationInfo{Tuples: 10, KBound: -1})
+	for _, sql := range []string{
+		"SELECT COUNT(Name) FROM R USING SWEEP 4",
+		"SELECT COUNT(Name) FROM R USING SWEEP -1",
+	} {
+		_, err := Parse(sql)
+		if err == nil || !strings.Contains(err.Error(), "USING SWEEP takes no argument") {
+			t.Fatalf("%s: err = %v, want the no-argument rejection", sql, err)
+		}
+	}
+	plan, err := PlanQuery(mustParse(t, "SELECT COUNT(Name) FROM R USING SWEEP"), RelationInfo{Tuples: 10, KBound: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Spec.Algorithm != core.SweepEval || plan.Spec.Parallel != 4 {
-		t.Fatalf("USING SWEEP 4 planned %v parallel=%d", plan.Spec.Algorithm, plan.Spec.Parallel)
-	}
-	if _, err := resolveUsing(&Query{Using: "SWEEP", HasUsingK: true, UsingK: -1}); err == nil {
-		t.Fatal("USING SWEEP -1 must be rejected")
+	if plan.Spec != (core.Spec{Algorithm: core.SweepEval}) {
+		t.Fatalf("USING SWEEP planned %+v", plan.Spec)
 	}
 }

@@ -91,9 +91,9 @@ func TestConcurrentTracedQueriesAndScrapes(t *testing.T) {
 
 	queries := []string{
 		// Forced two-worker sweep: per-worker scan spans from two goroutines.
-		"EXPLAIN ANALYZE SELECT COUNT(Salary) FROM Employed USING SWEEP 2",
+		"EXPLAIN ANALYZE SELECT COUNT(Salary) FROM Employed USING SWEEP",
 		// One parallel sweep per aggregate, each with its own worker spans.
-		"SELECT COUNT(Salary), SUM(Salary), AVG(Salary) FROM Employed USING SWEEP 2",
+		"SELECT COUNT(Salary), SUM(Salary), AVG(Salary) FROM Employed USING SWEEP",
 		"EXPLAIN SELECT COUNT(Salary) FROM Employed",
 	}
 
