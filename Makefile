@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-json lint-baseline test race stress fuzz-smoke obs-smoke bench-smoke bench-smoke-mp e2ebench-check
+.PHONY: all build vet lint lint-json lint-baseline test race stress fuzz-smoke obs-smoke bench-smoke e2ebench-check
 
 all: build lint test
 
@@ -84,24 +84,15 @@ fuzz-smoke:
 # A fast machine-readable run of the hot-path experiments, gated against
 # the checked-in BENCH_PR9.json: the target fails when any series' median
 # slowdown over the shared points exceeds 50%. Series with no counterpart
-# in the baseline (range-query) are reported but not gated. Five seeds, not
-# three: the smoke points are sub-millisecond and the per-point median
-# needs the extra repetitions to sit inside the gate's tolerance; on a
-# single-core runner those points still jitter by ~40% run to run, so the
-# tolerance sits above that noise floor and below any real algorithmic
-# regression (the cheapest of which double a series). The JSON
-# report is uploaded as a CI artifact for before/after comparison.
+# in the baseline (range-query, and the baseline figure's "partitioned
+# serial random") are reported but not gated. Five seeds, not three: the
+# smoke points are sub-millisecond and the per-point median needs the extra
+# repetitions to sit inside the gate's tolerance; on a single-core runner
+# those points still jitter by ~40% run to run, so the tolerance sits above
+# that noise floor and below any real algorithmic regression (the cheapest
+# of which double a series). Every series is serial, so there is no
+# multi-core run. The JSON report is uploaded as a CI artifact for
+# before/after comparison.
 bench-smoke:
 	$(GO) run ./cmd/benchharness -exp baseline,sweep,live-read,range-query -max-size 4096 -seeds 5 -json -tolerance 0.5 -baseline BENCH_PR9.json > bench-smoke.json
 	@head -c 400 bench-smoke.json; echo
-
-# The same run at GOMAXPROCS=4. What runs with real workers here is the
-# baseline figure's partitioned series, which evaluates its shards on 4
-# workers; every other series is serial. On a single-core runner
-# GOMAXPROCS=4 still interleaves those workers even though wall-clock gains
-# need real cores, so this gate compares against its own GOMAXPROCS=4
-# baseline (BENCH_PR9_MP.json) rather than the GOMAXPROCS=1 one, and only
-# catches catastrophic (>2x) regressions.
-bench-smoke-mp:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchharness -exp baseline,sweep,live-read,range-query -max-size 4096 -seeds 5 -json -tolerance 1.0 -baseline BENCH_PR9_MP.json > bench-smoke-mp.json
-	@head -c 400 bench-smoke-mp.json; echo

@@ -4,8 +4,8 @@
 // the tree and process them later." The time-line is cut into partitions;
 // each partition's tuples are spilled to disk relation files and evaluated
 // by an independent aggregation tree, so the largest resident tree — not
-// the whole relation's — bounds memory. A parallel variant evaluates
-// several partitions concurrently.
+// the whole relation's — bounds memory. Partitions are evaluated one at a
+// time, so that tree is the only one resident.
 //
 // Run with:
 //
@@ -49,20 +49,17 @@ func main() {
 	defer os.RemoveAll(spillDir)
 
 	for _, variant := range []struct {
-		label    string
-		parallel int
-		spill    string
+		label string
+		spill string
 	}{
-		{"partitioned (memory)", 1, ""},
-		{"partitioned (spill)", 1, spillDir},
-		{"partitioned (spill,4x)", 4, spillDir},
+		{"partitioned (memory)", ""},
+		{"partitioned (spill)", spillDir},
 	} {
 		start = time.Now()
 		res, stats, err := tempagg.ComputePartitioned(rel, tempagg.Count,
 			tempagg.PartitionOptions{
 				Boundaries: tempagg.UniformBoundaries(lifespan, 32),
 				SpillDir:   variant.spill,
-				Parallel:   variant.parallel,
 			})
 		if err != nil {
 			log.Fatal(err)

@@ -79,7 +79,6 @@ func TestIntegrationEndToEnd(t *testing.T) {
 	part, _, err := tempagg.ComputePartitioned(rel, tempagg.Sum, tempagg.PartitionOptions{
 		Boundaries: tempagg.UniformBoundaries(window, 8),
 		SpillDir:   dir,
-		Parallel:   3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,8 +77,8 @@ func BenchmarkPartitionedSweepRandomCount(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := core.EvaluatePartitionedTuples(f, rel.Tuples, core.PartitionOptions{
-			Boundaries: boundaries, Parallel: 4, Sweep: true,
+		_, _, err := core.EvaluatePartitioned(f, rel.Tuples, core.PartitionOptions{
+			Boundaries: boundaries, Sweep: true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"tempagg/internal/interval"
 	"tempagg/internal/order"
 	"tempagg/internal/relation"
+	"tempagg/internal/tuple"
 	"tempagg/internal/workload"
 )
 
@@ -241,65 +242,68 @@ func timeScanEvaluate(path string, sopts relation.ScanOptions, f aggregate.Func)
 // AblationPartitioned evaluates the limited-main-memory strategy of §5.1/§7
 // ("accumulate the tuples which would overlap this region of the tree and
 // process them later"): the whole-relation aggregation tree versus the
-// partitioned evaluation (16 time partitions), serial and parallel, over
-// random input. Time in seconds; the peak-memory reduction is asserted in
-// the core tests.
+// serial partitioned evaluation (16 time partitions) over random input.
+// Time in seconds; the peak-memory reduction is asserted in the core tests.
 func AblationPartitioned(opts Options) (Figure, error) {
 	opts = opts.withDefaults()
-	fig := Figure{
+	f := aggregate.For(opts.Agg)
+	whole, err := randomSeries(opts, "whole tree", func(ts []tuple.Tuple) (core.Stats, error) {
+		_, stats, err := core.Run(core.Spec{Algorithm: core.AggregationTree}, f, ts)
+		return stats, err
+	})
+	if err != nil {
+		return Figure{}, err
+	}
+	parts, err := randomSeries(opts, "partitioned serial", partitioned16(f))
+	if err != nil {
+		return Figure{}, err
+	}
+	return Figure{
 		ID:     "ablation-partitioned",
 		Title:  "Whole Tree vs Partitioned Evaluation (16 partitions, random input)",
 		Metric: "seconds",
+		Series: []Series{whole, parts},
+	}, nil
+}
+
+// randomSeries times run over random input at every size and seed and
+// keeps the median per size.
+func randomSeries(opts Options, name string, run func([]tuple.Tuple) (core.Stats, error)) (Series, error) {
+	s := Series{Name: name}
+	for _, size := range opts.Sizes {
+		var ms []measurement
+		for _, seed := range opts.Seeds {
+			rel, err := genRandom(0)(size, seed)
+			if err != nil {
+				return Series{}, err
+			}
+			start := time.Now()
+			stats, err := run(rel.Tuples)
+			if err != nil {
+				return Series{}, err
+			}
+			ms = append(ms, measurement{seconds: time.Since(start).Seconds(), peakBytes: stats.PeakBytes()})
+		}
+		s.Points = append(s.Points, Point{Size: size, Value: timeMetric(median(ms))})
 	}
-	f := aggregate.For(opts.Agg)
-	variants := []struct {
-		name     string
-		parallel int
-	}{
-		{"whole tree", -1},
-		{"partitioned serial", 1},
-		{"partitioned parallel=4", 4},
-	}
+	return s, nil
+}
+
+// partitioned16 evaluates its input in 16 uniform time partitions over the
+// workload lifespan, one partition at a time.
+func partitioned16(f aggregate.Func) func([]tuple.Tuple) (core.Stats, error) {
 	boundaries := core.UniformBoundaries(
 		interval.MustNew(0, workload.DefaultLifespan-1), 16)
-	for _, v := range variants {
-		s := Series{Name: v.name}
-		for _, size := range opts.Sizes {
-			var ms []measurement
-			for _, seed := range opts.Seeds {
-				rel, err := genRandom(0)(size, seed)
-				if err != nil {
-					return Figure{}, err
-				}
-				start := time.Now()
-				var peak int64
-				if v.parallel < 0 {
-					_, stats, err := core.Run(core.Spec{Algorithm: core.AggregationTree}, f, rel.Tuples)
-					if err != nil {
-						return Figure{}, err
-					}
-					peak = stats.PeakBytes()
-				} else {
-					_, stats, err := core.EvaluatePartitionedTuples(f, rel.Tuples,
-						core.PartitionOptions{Boundaries: boundaries, Parallel: v.parallel})
-					if err != nil {
-						return Figure{}, err
-					}
-					peak = stats.PeakBytes()
-				}
-				ms = append(ms, measurement{seconds: time.Since(start).Seconds(), peakBytes: peak})
-			}
-			s.Points = append(s.Points, Point{Size: size, Value: timeMetric(median(ms))})
-		}
-		fig.Series = append(fig.Series, s)
+	return func(ts []tuple.Tuple) (core.Stats, error) {
+		_, stats, err := core.EvaluatePartitioned(f, ts, core.PartitionOptions{Boundaries: boundaries})
+		return stats, err
 	}
-	return fig, nil
 }
 
 // Baseline measures the production hot paths head to head over the Table 3
 // sweep: the evaluators the optimizer actually picks (aggregation tree on
 // random input, balanced tree on random input, sort-then-ktree on sorted
-// input) plus the partitioned parallel evaluation. It exists for
+// input) plus the serial partitioned evaluation. It exists for
 // before/after performance comparison across PRs — run it with the
 // harness's -json flag and diff the medians (see BENCH_PR4.json).
 func Baseline(opts Options) (Figure, error) {
@@ -313,29 +317,9 @@ func Baseline(opts Options) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	f := aggregate.For(opts.Agg)
-	boundaries := core.UniformBoundaries(
-		interval.MustNew(0, workload.DefaultLifespan-1), 16)
-	s := Series{Name: "partitioned parallel=4 random"}
-	for _, size := range opts.Sizes {
-		var ms []measurement
-		for _, seed := range opts.Seeds {
-			rel, err := genRandom(0)(size, seed)
-			if err != nil {
-				return Figure{}, err
-			}
-			start := time.Now()
-			_, stats, err := core.EvaluatePartitionedTuples(f, rel.Tuples,
-				core.PartitionOptions{Boundaries: boundaries, Parallel: 4})
-			if err != nil {
-				return Figure{}, err
-			}
-			ms = append(ms, measurement{
-				seconds:   time.Since(start).Seconds(),
-				peakBytes: stats.PeakBytes(),
-			})
-		}
-		s.Points = append(s.Points, Point{Size: size, Value: timeMetric(median(ms))})
+	s, err := randomSeries(opts, "partitioned serial random", partitioned16(aggregate.For(opts.Agg)))
+	if err != nil {
+		return Figure{}, err
 	}
 	fig.Series = append(fig.Series, s)
 	return fig, nil

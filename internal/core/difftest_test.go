@@ -42,8 +42,45 @@ func runPartitioned(opts PartitionOptions) func(*testing.T, aggregate.Func, []tu
 		if o.SpillDir == "spill" {
 			o.SpillDir = t.TempDir()
 		}
-		res, _, err := EvaluatePartitionedTuples(f, ts, o)
+		res, _, err := EvaluatePartitioned(f, ts, o)
 		return res, err
+	}
+}
+
+// runPartitionedStreamAtProcs streams a partitioned evaluation with
+// runtime.GOMAXPROCS set to procs (restored after) and fails the test
+// unless the chunks arrive dense and ascending and their rows are
+// EvaluatePartitioned's one for one: the answer depends neither on the
+// core count nor on whether the caller streams or collects.
+func runPartitionedStreamAtProcs(procs int, opts PartitionOptions) func(*testing.T, aggregate.Func, []tuple.Tuple, int) (*Result, error) {
+	return func(t *testing.T, f aggregate.Func, ts []tuple.Tuple, _ int) (*Result, error) {
+		want, _, err := EvaluatePartitioned(f, ts, opts)
+		if err != nil {
+			return nil, err
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res := &Result{Func: f}
+		next := 0
+		_, err = EvaluatePartitionedStream(f, ts, opts, func(c StreamChunk) error {
+			if c.Index != next {
+				t.Fatalf("chunk index %d, want %d", c.Index, next)
+			}
+			next++
+			res.Rows = append(res.Rows, c.Rows...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Rows) != len(want.Rows) {
+			t.Fatalf("GOMAXPROCS=%d: stream emitted %d rows, collector %d", procs, len(res.Rows), len(want.Rows))
+		}
+		for i, row := range res.Rows {
+			if row.Interval != want.Rows[i].Interval || !f.StateEqual(row.State, want.Rows[i].State) {
+				t.Fatalf("GOMAXPROCS=%d: row %d is %v, collector's is %v", procs, i, row, want.Rows[i])
+			}
+		}
+		return res, nil
 	}
 }
 
@@ -189,9 +226,10 @@ func diffStrategies(boundaries []interval.Time) []diffStrategy {
 			return snap.RangeIndexed(f, interval.Universe())
 		}},
 		{"partitioned-serial", runPartitioned(PartitionOptions{Boundaries: boundaries})},
-		{"partitioned-parallel", runPartitioned(PartitionOptions{Boundaries: boundaries, Parallel: 4})},
-		{"partitioned-spill", runPartitioned(PartitionOptions{Boundaries: boundaries, SpillDir: "spill", Parallel: 2})},
-		{"partitioned-sweep", runPartitioned(PartitionOptions{Boundaries: boundaries, Parallel: 2, Sweep: true})},
+		// The stream at GOMAXPROCS 4: chunk by chunk, the collector's rows.
+		{"partitioned-parallel", runPartitionedStreamAtProcs(4, PartitionOptions{Boundaries: boundaries})},
+		{"partitioned-spill", runPartitioned(PartitionOptions{Boundaries: boundaries, SpillDir: "spill"})},
+		{"partitioned-sweep", runPartitioned(PartitionOptions{Boundaries: boundaries, Sweep: true})},
 	}
 }
 
@@ -330,16 +368,9 @@ func TestMetamorphicPartitionConcat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := EvaluatePartitionedStream(f, NewSliceSource(ts), PartitionOptions{
-		Boundaries: boundaries,
-		Parallel:   3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	concat := &Result{Func: f}
 	next := 0
-	for chunk := range st.Chunks() {
+	stats, err := EvaluatePartitionedStream(f, ts, PartitionOptions{Boundaries: boundaries}, func(chunk StreamChunk) error {
 		if chunk.Index != next {
 			t.Fatalf("chunk index %d, want %d (chunks must arrive dense and ascending)", chunk.Index, next)
 		}
@@ -352,8 +383,8 @@ func TestMetamorphicPartitionConcat(t *testing.T) {
 		}
 		concat.Rows = append(concat.Rows, chunk.Rows...)
 		next++
-	}
-	stats, err := st.Wait()
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,9 @@ type Stats struct {
 	// LiveNodes is the current number of structure nodes.
 	LiveNodes int
 	// PeakNodes is the high-water mark of LiveNodes — the paper's
-	// main-memory requirement (Figure 9).
+	// main-memory requirement (Figure 9). For a partitioned evaluation it
+	// is the largest partition's peak, which bounds what is resident:
+	// partitions are evaluated one at a time.
 	PeakNodes int
 	// Collected is the number of nodes reclaimed by garbage collection
 	// (k-ordered aggregation tree only).

@@ -92,11 +92,11 @@ func ExampleGroupBySpan() {
 	// [20,29] 30
 }
 
-// ExampleEvaluatePartitionedTuples evaluates with bounded memory by cutting
-// the time-line into partitions, each handled by its own tree (§5.1/§7).
-func ExampleEvaluatePartitionedTuples() {
+// ExampleEvaluatePartitioned evaluates with bounded memory by cutting the
+// time-line into partitions, each handled in turn by its own tree (§5.1/§7).
+func ExampleEvaluatePartitioned() {
 	ts := relation.Employed().Tuples
-	res, _, err := core.EvaluatePartitionedTuples(
+	res, _, err := core.EvaluatePartitioned(
 		aggregate.For(aggregate.Count), ts,
 		core.PartitionOptions{Boundaries: []interval.Time{10, 20}},
 	)

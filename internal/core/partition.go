@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 
 	"tempagg/internal/aggregate"
 	"tempagg/internal/interval"
@@ -13,11 +12,6 @@ import (
 	"tempagg/internal/relation"
 	"tempagg/internal/tuple"
 )
-
-// TupleIterator is a forward-only tuple stream; TupleSource adds rescan.
-type TupleIterator interface {
-	Next() (t tuple.Tuple, ok bool, err error)
-}
 
 // PartitionOptions configures the limited-main-memory evaluation of §5.1/§7:
 // "it is simple to mark a parent as pointing to a subtree not currently in
@@ -36,10 +30,6 @@ type PartitionOptions struct {
 	// temporary relation file under this directory instead of in memory —
 	// the out-of-core mode. The directory must exist.
 	SpillDir string
-	// Parallel is the number of partitions evaluated concurrently; values
-	// below 2 mean serial evaluation (a single worker). Peak memory scales
-	// with the worker count. See partitionWorkers for the exact resolution.
-	Parallel int
 	// Sink, when non-nil, receives each partition evaluator's counters
 	// record as the partition finishes, so a partitioned or streaming
 	// evaluation shows up shard by shard like any other run.
@@ -55,20 +45,6 @@ type PartitionOptions struct {
 	// shards nest their own sort/scan spans under it). The zero value
 	// disables span recording.
 	Trace obs.TraceContext
-}
-
-// partitionWorkers resolves PartitionOptions.Parallel to a worker count.
-// Values below 2 mean serial evaluation — exactly one worker — and the
-// count never exceeds the number of partitions (extra workers would idle).
-func partitionWorkers(parallel, partitions int) int {
-	workers := 1
-	if parallel >= 2 {
-		workers = parallel
-	}
-	if workers > partitions {
-		workers = partitions
-	}
-	return workers
 }
 
 // UniformBoundaries cuts the given finite lifespan into n equal-width
@@ -111,10 +87,9 @@ func partitionSpans(boundaries []interval.Time) ([]interval.Interval, error) {
 }
 
 // StreamChunk is one partition's finished result: the partition's coalesced
-// constant intervals, in time order. Chunks arrive on the stream in
-// partition order (ascending Index), so concatenating Rows across chunks
-// yields the same partition-of-the-timeline a non-streaming evaluation
-// returns.
+// constant intervals, in time order. Chunks are emitted in partition order
+// (ascending Index), so concatenating Rows across chunks yields the same
+// partition-of-the-timeline EvaluatePartitioned returns.
 type StreamChunk struct {
 	// Index is the partition's position, 0-based and dense.
 	Index int
@@ -124,53 +99,17 @@ type StreamChunk struct {
 	Rows []Row
 }
 
-// PartitionStream is a running partitioned evaluation delivering per-
-// partition results as they complete. Consume Chunks until it closes, then
-// call Wait for the run's statistics and first error. Cancel abandons the
-// evaluation early; Wait remains safe to call after it.
-type PartitionStream struct {
-	ch   chan StreamChunk
-	stop chan struct{}
-	once sync.Once
-	done chan struct{}
-
-	stats Stats
-	err   error
-}
-
-// Chunks returns the ordered chunk channel. It is closed when every
-// partition has been delivered, an evaluation error occurred, or the stream
-// was canceled.
-func (s *PartitionStream) Chunks() <-chan StreamChunk { return s.ch }
-
-// Cancel abandons the evaluation: workers stop after their current
-// partition and the chunk channel closes. Safe to call more than once and
-// concurrently with consumption.
-func (s *PartitionStream) Cancel() { s.once.Do(func() { close(s.stop) }) }
-
-// Wait blocks until the evaluation has fully shut down and returns the
-// run's statistics (total tuples routed, largest single-partition peak) and
-// the first evaluation error. It drains any undelivered chunks, so it is
-// safe to call with chunks outstanding.
-func (s *PartitionStream) Wait() (Stats, error) {
-	for range s.ch {
-		// Drain whatever the consumer did not read so the emitter can exit.
-	}
-	<-s.done
-	return s.stats, s.err
-}
-
 // EvaluatePartitionedStream computes the instant-grouped temporal aggregate
-// with bounded memory, delivering each partition's coalesced constant
-// intervals as soon as that partition finishes — there is no barrier
-// between partition evaluation and result delivery. The routing pass runs
-// synchronously (routing errors are returned here); the evaluation pass
-// runs on partitionWorkers(opts.Parallel, …) goroutines behind a bounded
-// channel, with a reorder buffer keeping delivery in partition order.
-func EvaluatePartitionedStream(f aggregate.Func, it TupleIterator, opts PartitionOptions) (*PartitionStream, error) {
+// with bounded memory, one partition at a time. One pass routes each tuple
+// to every partition it overlaps; then, for each partition in order, its
+// tuples are evaluated, the result coalesced and handed to emit before the
+// next partition starts, so only one partition's evaluator is ever
+// resident. An error from emit stops the run and is returned. The Stats
+// report the tuples routed and the largest partition's peak.
+func EvaluatePartitionedStream(f aggregate.Func, ts []tuple.Tuple, opts PartitionOptions, emit func(StreamChunk) error) (Stats, error) {
 	spans, err := partitionSpans(opts.Boundaries)
 	if err != nil {
-		return nil, err
+		return Stats{}, err
 	}
 	var bks buckets
 	if opts.SpillDir != "" {
@@ -179,156 +118,57 @@ func EvaluatePartitionedStream(f aggregate.Func, it TupleIterator, opts Partitio
 		bks = newMemoryBuckets(len(spans))
 	}
 	if err != nil {
-		return nil, err
+		return Stats{}, err
 	}
+	defer bks.cleanup()
 
 	// Route pass: each tuple goes to every partition it overlaps. Partition
 	// starts are sorted, so the overlapped range is contiguous.
-	total := 0
-	for {
-		t, ok, err := it.Next()
-		if err != nil {
-			bks.cleanup()
-			return nil, fmt.Errorf("core: partition routing: %w", err)
-		}
-		if !ok {
-			break
-		}
+	for _, t := range ts {
 		if err := t.Valid.Validate(); err != nil {
-			bks.cleanup()
-			return nil, err
+			return Stats{}, err
 		}
-		total++
 		for i := findSpan(spans, t.Valid.Start); i < len(spans) && spans[i].Start <= t.Valid.End; i++ {
 			if err := bks.add(i, t); err != nil {
-				bks.cleanup()
-				return nil, err
+				return Stats{}, err
 			}
 		}
 	}
 	if err := bks.sealed(); err != nil {
-		bks.cleanup()
-		return nil, err
+		return Stats{}, err
 	}
 
-	workers := partitionWorkers(opts.Parallel, len(spans))
-	st := &PartitionStream{
-		ch:   make(chan StreamChunk, workers),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	st.stats.Tuples = total
-
-	type partResult struct {
-		i    int
-		rows []Row
-		peak int
-		err  error
-	}
-	resCh := make(chan partResult, workers)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				res, peak, err := evaluateBucket(f, spans[i], bks, i, opts)
-				pr := partResult{i: i, peak: peak, err: err}
-				if err == nil {
-					pr.rows = res.Coalesce().Rows
-				}
-				select {
-				case resCh <- pr:
-				case <-st.stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(work)
-		for i := range spans {
-			select {
-			case work <- i:
-			case <-st.stop:
-				return
-			}
+	stats := Stats{Tuples: len(ts)}
+	for i, span := range spans {
+		res, peak, err := evaluateBucket(f, span, bks, i, opts)
+		if err != nil {
+			return Stats{}, err
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
-
-	// Emitter: reorder worker completions into partition order and deliver
-	// each chunk the moment its predecessors are out. A shard that finishes
-	// early is held only until the partitions before it are done — never
-	// until the whole evaluation is.
-	go func() {
-		pending := make(map[int][]Row, workers)
-		next := 0
-		for pr := range resCh {
-			if pr.err != nil {
-				if st.err == nil {
-					st.err = pr.err
-				}
-				st.Cancel()
-				continue
-			}
-			if pr.peak > st.stats.PeakNodes {
-				st.stats.PeakNodes = pr.peak
-			}
-			pending[pr.i] = pr.rows
-			for {
-				rows, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				select {
-				case st.ch <- StreamChunk{Index: next, Span: spans[next], Rows: rows}:
-				case <-st.stop:
-				}
-				next++
-			}
+		stats.PeakNodes = max(stats.PeakNodes, peak)
+		if err := emit(StreamChunk{Index: i, Span: span, Rows: res.Coalesce().Rows}); err != nil {
+			return Stats{}, err
 		}
-		bks.cleanup()
-		close(st.ch)
-		close(st.done)
-	}()
-	return st, nil
+	}
+	return stats, nil
 }
 
 // EvaluatePartitioned computes the instant-grouped temporal aggregate with
-// bounded memory: tuples are routed (clipped) to time partitions in one
-// scan, then each partition is evaluated by its own aggregation tree. It is
-// the materializing consumer of EvaluatePartitionedStream. The returned
-// Stats report the *largest single-partition* peak, which is the
-// resident-memory bound when evaluation is serial.
+// bounded memory (§5.1/§7), collecting EvaluatePartitionedStream's chunks
+// into one result.
 //
 // Constant intervals may be split at partition boundaries; Coalesce merges
 // them back when values agree. The result still satisfies Validate and is
 // value-equivalent (Equal) to the unpartitioned evaluation.
-func EvaluatePartitioned(f aggregate.Func, it TupleIterator, opts PartitionOptions) (*Result, Stats, error) {
-	st, err := EvaluatePartitionedStream(f, it, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
+func EvaluatePartitioned(f aggregate.Func, ts []tuple.Tuple, opts PartitionOptions) (*Result, Stats, error) {
 	out := &Result{Func: f}
-	for chunk := range st.Chunks() {
-		out.Rows = append(out.Rows, chunk.Rows...)
-	}
-	stats, err := st.Wait()
+	stats, err := EvaluatePartitionedStream(f, ts, opts, func(c StreamChunk) error {
+		out.Rows = append(out.Rows, c.Rows...)
+		return nil
+	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return out, stats, nil
-}
-
-// EvaluatePartitionedTuples is EvaluatePartitioned over an in-memory slice.
-func EvaluatePartitionedTuples(f aggregate.Func, ts []tuple.Tuple, opts PartitionOptions) (*Result, Stats, error) {
-	return EvaluatePartitioned(f, NewSliceSource(ts), opts)
 }
 
 // findSpan returns the index of the partition containing t (binary search).
@@ -376,8 +216,7 @@ type buckets interface {
 	// sealed flips from the routing pass to the evaluation pass.
 	sealed() error
 	// drain replays partition i's tuples in pages of at most BatchPage,
-	// feeding the evaluator's batch-ingestion path; safe to call
-	// concurrently for distinct i.
+	// feeding the evaluator's batch-ingestion path.
 	drain(i int, fn func([]tuple.Tuple) error) error
 	cleanup()
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -36,27 +38,6 @@ func TestUniformBoundaries(t *testing.T) {
 	}
 }
 
-// TestPartitionWorkersSerialBelowTwo pins the documented Parallel contract:
-// values below 2 mean serial evaluation — exactly one worker — and the
-// worker count never exceeds the partition count.
-func TestPartitionWorkersSerialBelowTwo(t *testing.T) {
-	cases := []struct{ parallel, partitions, want int }{
-		{-3, 8, 1}, // nonsense values fall back to serial
-		{0, 8, 1},  // zero value: serial
-		{1, 8, 1},  // one is "below 2": still serial, per the doc
-		{2, 8, 2},  // the first genuinely parallel setting
-		{4, 8, 4},
-		{16, 8, 8}, // capped at the partition count
-		{4, 1, 1},
-	}
-	for _, c := range cases {
-		if got := partitionWorkers(c.parallel, c.partitions); got != c.want {
-			t.Errorf("partitionWorkers(%d, %d) = %d, want %d",
-				c.parallel, c.partitions, got, c.want)
-		}
-	}
-}
-
 func TestPartitionSpansValidation(t *testing.T) {
 	if _, err := partitionSpans([]interval.Time{10, 10}); err == nil {
 		t.Fatal("equal boundaries must fail")
@@ -74,8 +55,7 @@ func TestPartitionSpansValidation(t *testing.T) {
 }
 
 // TestPartitionedMatchesUnpartitioned: partitioned evaluation is
-// value-equivalent to the oracle for every kind, boundary layout, spill
-// mode, and parallelism.
+// value-equivalent to the oracle for every kind and boundary layout.
 func TestPartitionedMatchesUnpartitioned(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for _, kind := range aggregate.Kinds() {
@@ -90,23 +70,17 @@ func TestPartitionedMatchesUnpartitioned(t *testing.T) {
 				prev += 1 + r.Int63n(200)
 				bounds = append(bounds, prev)
 			}
-			for _, parallel := range []int{0, 3} {
-				opts := PartitionOptions{Boundaries: bounds, Parallel: parallel}
-				got, stats, err := EvaluatePartitionedTuples(f, ts, opts)
-				if err != nil {
-					t.Fatalf("%v: %v", kind, err)
-				}
-				if stats.Tuples != len(ts) {
-					return false
-				}
-				if err := got.Validate(); err != nil {
-					t.Fatalf("%v: %v", kind, err)
-				}
-				if !got.Equal(want) {
-					return false
-				}
+			got, stats, err := EvaluatePartitioned(f, ts, PartitionOptions{Boundaries: bounds})
+			if err != nil {
+				t.Fatalf("%v: %v", kind, err)
 			}
-			return true
+			if stats.Tuples != len(ts) {
+				return false
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+			return got.Equal(want)
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -127,9 +101,8 @@ func TestPartitionedSpillToDisk(t *testing.T) {
 	opts := PartitionOptions{
 		Boundaries: []interval.Time{200, 400, 600, 800},
 		SpillDir:   t.TempDir(),
-		Parallel:   2,
 	}
-	got, stats, err := EvaluatePartitionedTuples(f, ts, opts)
+	got, stats, err := EvaluatePartitioned(f, ts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +111,21 @@ func TestPartitionedSpillToDisk(t *testing.T) {
 	}
 	if stats.PeakNodes <= 0 {
 		t.Fatal("no peak recorded")
+	}
+
+	// An error from emit stops the run after that chunk and is returned;
+	// the spill files are removed all the same.
+	stop := errors.New("stop")
+	chunks := 0
+	_, err = EvaluatePartitionedStream(f, ts, opts, func(StreamChunk) error {
+		chunks++
+		return stop
+	})
+	if !errors.Is(err, stop) || chunks != 1 {
+		t.Fatalf("emit error: err = %v after %d chunks, want %v after 1", err, chunks, stop)
+	}
+	if left, err := os.ReadDir(opts.SpillDir); err != nil || len(left) != 0 {
+		t.Fatalf("spill directory after a stopped run: %v, %v", left, err)
 	}
 }
 
@@ -158,7 +146,7 @@ func TestPartitionedBoundsMemory(t *testing.T) {
 	opts := PartitionOptions{
 		Boundaries: UniformBoundaries(interval.MustNew(0, 100299), 16),
 	}
-	_, parts, err := EvaluatePartitionedTuples(f, ts, opts)
+	_, parts, err := EvaluatePartitioned(f, ts, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +162,7 @@ func TestPartitionedForeverTuples(t *testing.T) {
 		tuple.MustNew("a", 1, 5, interval.Forever),
 		tuple.MustNew("b", 1, 0, 9),
 	}
-	got, _, err := EvaluatePartitionedTuples(f, ts, PartitionOptions{
+	got, _, err := EvaluatePartitioned(f, ts, PartitionOptions{
 		Boundaries: []interval.Time{10, 100},
 	})
 	if err != nil {
@@ -189,10 +177,10 @@ func TestPartitionedRejectsInvalidInput(t *testing.T) {
 	f := aggregate.For(aggregate.Count)
 	//tempagglint:ignore intervalbounds the test needs an invalid tuple to exercise input rejection
 	bad := []tuple.Tuple{{Name: "x", Valid: interval.Interval{Start: 9, End: 1}}}
-	if _, _, err := EvaluatePartitionedTuples(f, bad, PartitionOptions{}); err == nil {
+	if _, _, err := EvaluatePartitioned(f, bad, PartitionOptions{}); err == nil {
 		t.Fatal("invalid tuple must be rejected")
 	}
-	if _, _, err := EvaluatePartitionedTuples(f, nil, PartitionOptions{
+	if _, _, err := EvaluatePartitioned(f, nil, PartitionOptions{
 		Boundaries: []interval.Time{5, 3},
 	}); err == nil {
 		t.Fatal("bad boundaries must be rejected")
@@ -201,7 +189,7 @@ func TestPartitionedRejectsInvalidInput(t *testing.T) {
 
 func TestPartitionedEmptyInput(t *testing.T) {
 	f := aggregate.For(aggregate.Min)
-	got, _, err := EvaluatePartitionedTuples(f, nil, PartitionOptions{
+	got, _, err := EvaluatePartitioned(f, nil, PartitionOptions{
 		Boundaries: []interval.Time{10},
 	})
 	if err != nil {

@@ -12,12 +12,12 @@ import (
 )
 
 // TestStreamingMergeConcurrentScrape is the -race regression for the
-// streaming ordered merge: shards evaluate and emit concurrently while a
+// partitioned stream: shards evaluate and emit one after another while a
 // scrape goroutine renders the metrics registry — the same surface the
 // daemon's /metrics handler reads mid-query. It extends the
 // TestStatsConcurrentSnapshot pattern from the single evaluator to the
-// partitioned worker pool: every per-partition tree publishes through the
-// shared sink as it runs, so a data race anywhere on the publish or
+// partitioned evaluation: every per-partition evaluator publishes through
+// the shared sink as it finishes, so a data race anywhere on the publish or
 // snapshot path surfaces here under -race.
 func TestStreamingMergeConcurrentScrape(t *testing.T) {
 	f := aggregate.For(aggregate.Sum)
@@ -44,19 +44,14 @@ func TestStreamingMergeConcurrentScrape(t *testing.T) {
 	}()
 
 	for round := 0; round < 3; round++ {
-		st, err := EvaluatePartitionedStream(f, NewSliceSource(ts), PartitionOptions{
-			Boundaries: []interval.Time{500, 1000, 1500, 2000, 2500, 3000, 3500},
-			Parallel:   4,
-			Sink:       m,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		got := &Result{Func: f}
-		for chunk := range st.Chunks() {
+		stats, err := EvaluatePartitionedStream(f, ts, PartitionOptions{
+			Boundaries: []interval.Time{500, 1000, 1500, 2000, 2500, 3000, 3500},
+			Sink:       m,
+		}, func(chunk StreamChunk) error {
 			got.Rows = append(got.Rows, chunk.Rows...)
-		}
-		stats, err := st.Wait()
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,26 +76,5 @@ func TestStreamingMergeConcurrentScrape(t *testing.T) {
 		if !strings.Contains(out, metric) {
 			t.Errorf("exposition missing %s after streamed runs", metric)
 		}
-	}
-}
-
-// TestStreamCancelStopsWorkers: canceling a stream mid-consumption must
-// shut the pipeline down (Wait returns) without deadlock, with workers
-// blocked on the bounded channel unblocked by the cancellation.
-func TestStreamCancelStopsWorkers(t *testing.T) {
-	f := aggregate.For(aggregate.Count)
-	ts := raceTuples(2000)
-	st, err := EvaluatePartitionedStream(f, NewSliceSource(ts), PartitionOptions{
-		Boundaries: []interval.Time{200, 400, 600, 800, 1000, 1200, 1400, 1600},
-		Parallel:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Read one chunk, then abandon the rest.
-	<-st.Chunks()
-	st.Cancel()
-	if _, err := st.Wait(); err != nil {
-		t.Fatalf("canceled stream must not report an error, got %v", err)
 	}
 }

@@ -191,9 +191,8 @@ func TestLargeRandomAgreement(t *testing.T) {
 		}
 		resultsIdentical(t, spec.Algorithm.String(), got, want)
 	}
-	pres, _, err := EvaluatePartitionedTuples(f, ts, PartitionOptions{
+	pres, _, err := EvaluatePartitioned(f, ts, PartitionOptions{
 		Boundaries: UniformBoundaries(interval.MustNew(0, 1_009_999), 32),
-		Parallel:   4,
 	})
 	if err != nil {
 		t.Fatal(err)

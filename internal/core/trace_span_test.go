@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -64,12 +65,13 @@ func TestTracedSweepSpanTree(t *testing.T) {
 // TestTracedPartitionShardSpans: a traced partitioned evaluation records one
 // shard span per partition, each tagged with its index and covered span and
 // carrying the shard's own counter snapshot; sweep shards nest their sort
-// and scan children underneath.
+// and scan children underneath. Shards run one at a time, in partition
+// order: no shard span starts before the previous one ended.
 func TestTracedPartitionShardSpans(t *testing.T) {
 	ts := raceTuples(2000)
 	tr := obs.NewQueryTrace("traced partition")
 
-	res, _, err := EvaluatePartitionedTuples(aggregate.For(aggregate.Count), ts,
+	res, _, err := EvaluatePartitioned(aggregate.For(aggregate.Count), ts,
 		PartitionOptions{
 			Boundaries: UniformBoundaries(interval.MustNew(0, 2010), 4),
 			Sweep:      true,
@@ -83,10 +85,18 @@ func TestTracedPartitionShardSpans(t *testing.T) {
 	}
 
 	shards := 0
+	var prev *obs.Span
 	for _, sp := range tr.SpanTree() {
 		if sp.Name != "shard" {
 			continue
 		}
+		if got, want := sp.Attrs["partition"], strconv.Itoa(shards); got != want {
+			t.Errorf("shard span %d is partition %q, want %q", shards, got, want)
+		}
+		if prev != nil && sp.Start.Before(prev.Start.Add(prev.Duration)) {
+			t.Errorf("shard %s started before shard %s ended", sp.Attrs["partition"], prev.Attrs["partition"])
+		}
+		prev = sp
 		shards++
 		if sp.Attrs["partition"] == "" || !strings.HasPrefix(sp.Attrs["span"], "[") {
 			t.Errorf("shard span missing partition/span attrs: %v", sp.Attrs)

@@ -148,11 +148,13 @@ func ExecuteTraced(q *Query, rel *relation.Relation, info *RelationInfo, tr *obs
 }
 
 // tupleSource is a rescannable tuple stream (Tuma reads it twice) with a
-// time-sorted view of itself, returned with the func that releases it, and
-// the name of its route for the execute span: memory, file or image.
+// time-sorted view of itself, and the name of its route for the execute
+// span: memory, file or image. The sorted view holds at least the tuples
+// that overlap the window w (nil for all); it is returned with its tuple
+// count and the func that releases it.
 type tupleSource interface {
 	core.TupleSource
-	sorted() (core.TupleSource, func(), error)
+	sorted(w *interval.Interval) (core.TupleSource, int, func(), error)
 	route() string
 }
 
@@ -161,14 +163,14 @@ type tupleSource interface {
 // caller's relation untouched.
 type sliceSource struct{ *core.SliceSource }
 
-func (s sliceSource) sorted() (core.TupleSource, func(), error) {
+func (s sliceSource) sorted(*interval.Interval) (core.TupleSource, int, func(), error) {
 	ts := s.Tuples
 	less := func(i, j int) bool { return ts[i].Less(ts[j]) }
 	if !sort.SliceIsSorted(ts, less) {
 		ts = slices.Clone(ts)
 		sort.SliceStable(ts, less)
 	}
-	return sliceSource{core.NewSliceSource(ts)}, func() {}, nil
+	return sliceSource{core.NewSliceSource(ts)}, len(ts), func() {}, nil
 }
 
 func (sliceSource) route() string { return "memory" }
@@ -314,7 +316,8 @@ func (x *executor) scan(src tupleSource, span *obs.Span) (map[string]*group, err
 	if needsSort(x.q, x.plan, x.meta) {
 		// The paper's sort-then-ktree strategy (§6.3/§7).
 		sortSpan := span.StartChild("sort")
-		sorted, release, err := src.sorted()
+		sorted, n, release, err := src.sorted(x.q.Window)
+		sortSpan.SetAttr("tuples", strconv.Itoa(n))
 		sortSpan.End()
 		if err != nil {
 			return nil, err
@@ -548,9 +551,8 @@ func (x *executor) whole(f aggregate.Func, ts []tuple.Tuple, ctx obs.TraceContex
 		// The limited-main-memory evaluation (§5.1/§7). Decomposable
 		// aggregates sweep each shard; MIN/MAX keeps the aggregation tree,
 		// whose cost does not depend on overlap depth.
-		res, stats, err := core.EvaluatePartitionedTuples(f, ts, core.PartitionOptions{
+		res, stats, err := core.EvaluatePartitioned(f, ts, core.PartitionOptions{
 			Boundaries: partitionBoundaries(ts, x.plan.Partitions),
-			Parallel:   x.plan.Partitions,
 			Sink:       x.tr.Sink(),
 			Trace:      ctx,
 			Sweep:      f.Kind().Decomposable(),

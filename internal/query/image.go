@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"tempagg/internal/core"
+	"tempagg/internal/interval"
 	"tempagg/internal/obs"
 	"tempagg/internal/relation"
 	"tempagg/internal/tuple"
@@ -74,19 +75,26 @@ func (s *imageSource) Reset() error {
 	return nil
 }
 
-// sorted materializes the image's tuples and sorts them by time, as the
-// in-memory route sorts a copy of its slice.
-func (s *imageSource) sorted() (core.TupleSource, func(), error) {
+// sorted builds the tuples that overlap w, tested on the time columns, and
+// sorts them by time, as the in-memory route sorts a copy of its slice.
+func (s *imageSource) sorted(w *interval.Interval) (core.TupleSource, int, func(), error) {
 	img, err := s.image()
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	ts, err := img.Tuples()
-	if err != nil {
-		return nil, nil, err
+	var ts []tuple.Tuple
+	for i := range img.Len() {
+		if w != nil && !img.Overlaps(i, *w) {
+			continue
+		}
+		t, err := img.Tuple(i)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		ts = append(ts, t)
 	}
 	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
-	return sliceSource{core.NewSliceSource(ts)}, func() {}, nil
+	return sliceSource{core.NewSliceSource(ts)}, len(ts), func() {}, nil
 }
 
 func (*imageSource) route() string { return "image" }

@@ -142,15 +142,12 @@ func (p Plan) String() string {
 	return fmt.Sprintf("%s — %s", p.Algorithm(), p.Reason)
 }
 
-// resolveUsing maps a USING clause to a plan.
+// resolveUsing maps a USING clause to a plan. Only KTREE (k) and
+// PARTITIONED (the partition count) take a numeric argument; any other
+// algorithm given one is rejected rather than planned without it.
 func resolveUsing(q *Query) (Plan, error) {
+	var plan Plan
 	switch q.Using {
-	case "LIST", "LINKEDLIST":
-		return Plan{Spec: core.Spec{Algorithm: core.LinkedList}}, nil
-	case "TREE", "AGGTREE":
-		return Plan{Spec: core.Spec{Algorithm: core.AggregationTree}}, nil
-	case "BTREE", "BALANCED":
-		return Plan{Spec: core.Spec{Algorithm: core.BalancedTree}}, nil
 	case "KTREE":
 		k := 1
 		if q.HasUsingK {
@@ -175,20 +172,28 @@ func resolveUsing(q *Query) (Plan, error) {
 			Partitions:  n,
 			Spec:        core.Spec{Algorithm: core.AggregationTree},
 		}, nil
+	case "LIST", "LINKEDLIST":
+		plan = Plan{Spec: core.Spec{Algorithm: core.LinkedList}}
+	case "TREE", "AGGTREE":
+		plan = Plan{Spec: core.Spec{Algorithm: core.AggregationTree}}
+	case "BTREE", "BALANCED":
+		plan = Plan{Spec: core.Spec{Algorithm: core.BalancedTree}}
 	case "SWEEP":
-		if q.HasUsingK {
-			return Plan{}, fmt.Errorf("query: USING SWEEP takes no argument, got %d", q.UsingK)
-		}
-		return Plan{Spec: core.Spec{Algorithm: core.SweepEval}}, nil
+		plan = Plan{Spec: core.Spec{Algorithm: core.SweepEval}}
 	case "TUMA":
-		return Plan{Tuma: true}, nil
+		plan = Plan{Tuma: true}
 	case "INDEX":
 		if !IndexEligible(q) {
 			return Plan{}, fmt.Errorf("query: USING INDEX serves only plain range-restricted aggregates (no WHERE, GROUP BY, DISTINCT, or span grouping)")
 		}
-		return Plan{UseIndex: true}, nil
+		plan = Plan{UseIndex: true}
+	default:
+		return Plan{}, fmt.Errorf("query: unknown algorithm %q in USING clause", q.Using)
 	}
-	return Plan{}, fmt.Errorf("query: unknown algorithm %q in USING clause", q.Using)
+	if q.HasUsingK {
+		return Plan{}, fmt.Errorf("query: USING %s takes no argument, got %d", q.Using, q.UsingK)
+	}
+	return plan, nil
 }
 
 // PlanQuery chooses the evaluation strategy for an instant-grouped query,

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -108,23 +109,53 @@ func TestResolveUsingRejectsNegativeK(t *testing.T) {
 	}
 }
 
-// TestUsingSweepParallelK: USING SWEEP takes no argument, so a worker count
-// (or any other number) fails at parse.
+// TestUsingSweepParallelK: every algorithm name in a USING clause, with and
+// without a numeric argument. Only KTREE and PARTITIONED take one; any
+// other name given one fails at parse, so no argument is dropped unseen.
 func TestUsingSweepParallelK(t *testing.T) {
-	for _, sql := range []string{
-		"SELECT COUNT(Name) FROM R USING SWEEP 4",
-		"SELECT COUNT(Name) FROM R USING SWEEP -1",
-	} {
-		_, err := Parse(sql)
-		if err == nil || !strings.Contains(err.Error(), "USING SWEEP takes no argument") {
-			t.Fatalf("%s: err = %v, want the no-argument rejection", sql, err)
+	checkPlan := func(sql string, want Plan) {
+		t.Helper()
+		plan, err := PlanQuery(mustParse(t, sql), RelationInfo{Tuples: 10, KBound: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if plan.Spec != want.Spec || plan.Tuma != want.Tuma || plan.UseIndex != want.UseIndex ||
+			plan.Partitioned != want.Partitioned || plan.Partitions != want.Partitions {
+			t.Fatalf("%s planned %+v, want %+v", sql, plan, want)
 		}
 	}
-	plan, err := PlanQuery(mustParse(t, "SELECT COUNT(Name) FROM R USING SWEEP"), RelationInfo{Tuples: 10, KBound: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Spec != (core.Spec{Algorithm: core.SweepEval}) {
-		t.Fatalf("USING SWEEP planned %+v", plan.Spec)
+	tree := core.Spec{Algorithm: core.AggregationTree}
+	for _, c := range []struct {
+		using string
+		want  Plan // the plan without an argument
+		arg   int  // an accepted argument, 0 when none is
+		withK Plan // the plan with arg
+	}{
+		{using: "LIST", want: Plan{Spec: core.Spec{Algorithm: core.LinkedList}}},
+		{using: "LINKEDLIST", want: Plan{Spec: core.Spec{Algorithm: core.LinkedList}}},
+		{using: "TREE", want: Plan{Spec: tree}},
+		{using: "AGGTREE", want: Plan{Spec: tree}},
+		{using: "BTREE", want: Plan{Spec: core.Spec{Algorithm: core.BalancedTree}}},
+		{using: "BALANCED", want: Plan{Spec: core.Spec{Algorithm: core.BalancedTree}}},
+		{using: "SWEEP", want: Plan{Spec: core.Spec{Algorithm: core.SweepEval}}},
+		{using: "TUMA", want: Plan{Tuma: true}},
+		{using: "INDEX", want: Plan{UseIndex: true}},
+		{using: "KTREE", want: Plan{Spec: core.Spec{Algorithm: core.KOrderedTree, K: 1}},
+			arg: 4, withK: Plan{Spec: core.Spec{Algorithm: core.KOrderedTree, K: 4}}},
+		{using: "PARTITIONED", want: Plan{Partitioned: true, Partitions: 8, Spec: tree},
+			arg: 4, withK: Plan{Partitioned: true, Partitions: 4, Spec: tree}},
+	} {
+		sql := "SELECT COUNT(Name) FROM R USING " + c.using
+		checkPlan(sql, c.want)
+		if c.arg != 0 {
+			checkPlan(fmt.Sprintf("%s %d", sql, c.arg), c.withK)
+			continue
+		}
+		for _, arg := range []string{" 5", " -1"} {
+			_, err := Parse(sql + arg)
+			if want := "USING " + c.using + " takes no argument"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s%s: err = %v, want %q", sql, arg, err, want)
+			}
+		}
 	}
 }

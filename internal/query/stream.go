@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"tempagg/internal/core"
+	"tempagg/internal/interval"
 	"tempagg/internal/obs"
 	"tempagg/internal/relation"
 	"tempagg/internal/tuple"
@@ -55,10 +56,10 @@ type fileSource struct {
 
 func (fileSource) route() string { return "file" }
 
-func (s fileSource) sorted() (core.TupleSource, func(), error) {
+func (s fileSource) sorted(*interval.Interval) (core.TupleSource, int, func(), error) {
 	tmp, err := os.CreateTemp("", "tempagg-sorted-*.rel")
 	if err != nil {
-		return nil, nil, fmt.Errorf("query: %w", err)
+		return nil, 0, nil, fmt.Errorf("query: %w", err)
 	}
 	tmp.Close()
 	var sc *relation.Scanner
@@ -67,9 +68,9 @@ func (s fileSource) sorted() (core.TupleSource, func(), error) {
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
-	return sc, func() {
+	return sc, sc.Count(), func() {
 		defer os.Remove(tmp.Name())
 		defer sc.Close()
 	}, nil

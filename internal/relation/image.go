@@ -102,16 +102,3 @@ func (m *Image) Overlaps(i int, w interval.Interval) bool {
 func (m *Image) Tuple(i int) (tuple.Tuple, error) {
 	return tuple.New(m.names[m.code[i]], int64(m.value[i]), decodeTime(m.start[i]), decodeTime(m.end[i]))
 }
-
-// Tuples materializes the image as a tuple slice, in physical order.
-func (m *Image) Tuples() ([]tuple.Tuple, error) {
-	ts := make([]tuple.Tuple, m.Len())
-	for i := range ts {
-		t, err := m.Tuple(i)
-		if err != nil {
-			return nil, err
-		}
-		ts[i] = t
-	}
-	return ts, nil
-}

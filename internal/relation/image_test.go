@@ -73,16 +73,16 @@ func FuzzImageVsScanner(f *testing.F) {
 		if scanErr != nil {
 			return
 		}
-		got, err := img.Tuples()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != want.Len() || img.Len() != want.Len() {
-			t.Fatalf("image has %d tuples, scan read %d", len(got), want.Len())
+		if img.Len() != want.Len() {
+			t.Fatalf("image has %d tuples, scan read %d", img.Len(), want.Len())
 		}
 		for i, tu := range want.Tuples {
-			if got[i] != tu {
-				t.Fatalf("tuple %d: image %v, scan %v", i, got[i], tu)
+			got, err := img.Tuple(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tu {
+				t.Fatalf("tuple %d: image %v, scan %v", i, got, tu)
 			}
 			if w := interval.At(tu.Valid.Start); !img.Overlaps(i, w) {
 				t.Fatalf("tuple %d: image says %v does not overlap its own start", i, tu)

@@ -91,10 +91,8 @@ type (
 	WorkloadConfig = workload.Config
 	// PartitionOptions configures bounded-memory partitioned evaluation.
 	PartitionOptions = core.PartitionOptions
-	// PartitionStream is a running partitioned evaluation delivering each
-	// partition's result as it completes.
-	PartitionStream = core.PartitionStream
-	// StreamChunk is one partition's coalesced result on a PartitionStream.
+	// StreamChunk is one partition's coalesced result, handed to
+	// ComputePartitionedStream's emit callback.
 	StreamChunk = core.StreamChunk
 	// LiveEvaluator ingests tuples concurrently with snapshot readers:
 	// epoch-based consistent reads during live ingestion (S36).
@@ -253,19 +251,18 @@ func Deduplicate(ts []Tuple) []Tuple { return relation.Deduplicate(ts) }
 func CoalesceTuples(ts []Tuple) []Tuple { return relation.CoalesceTuples(ts) }
 
 // ComputePartitioned evaluates the instant-grouped aggregate with bounded
-// memory by cutting the time-line into partitions, each handled by its own
-// aggregation tree (§5.1/§7); see PartitionOptions for spill-to-disk and
-// parallel evaluation.
+// memory by cutting the time-line into partitions, each handled in turn by
+// its own aggregation tree (§5.1/§7); see PartitionOptions for spill-to-disk.
 func ComputePartitioned(rel *Relation, kind AggregateKind, opts PartitionOptions) (*Result, Stats, error) {
-	return core.EvaluatePartitionedTuples(aggregate.For(kind), rel.Tuples, opts)
+	return core.EvaluatePartitioned(aggregate.For(kind), rel.Tuples, opts)
 }
 
-// ComputePartitionedStream is ComputePartitioned without the materializing
-// barrier: each partition's coalesced constant intervals arrive on the
-// stream's channel as soon as that shard finishes. Consume Chunks, then
-// call Wait for statistics and the first error.
-func ComputePartitionedStream(rel *Relation, kind AggregateKind, opts PartitionOptions) (*PartitionStream, error) {
-	return core.EvaluatePartitionedStream(aggregate.For(kind), core.NewSliceSource(rel.Tuples), opts)
+// ComputePartitionedStream is ComputePartitioned without the collecting
+// result: emit receives each partition's coalesced constant intervals, in
+// partition order, as soon as that partition finishes. An error from emit
+// stops the evaluation and is returned.
+func ComputePartitionedStream(rel *Relation, kind AggregateKind, opts PartitionOptions, emit func(StreamChunk) error) (Stats, error) {
+	return core.EvaluatePartitionedStream(aggregate.For(kind), rel.Tuples, opts, emit)
 }
 
 // UniformBoundaries cuts a finite lifespan into n equal-width partitions
